@@ -41,18 +41,14 @@ See docs/performance.md.
 from __future__ import annotations
 
 import functools
+import heapq
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import PassPipelineError, SimulationError, SourceSpan
-from repro.qcircuit.circuit import (
-    Circuit,
-    CircuitGate,
-    Measurement,
-    Reset,
-)
+from repro.qcircuit.circuit import Circuit, CircuitGate
 
 # NOTE: repro.sim.kernels is imported lazily inside functions.  The sim
 # package's __init__ imports repro.sim.statevector, which imports this
@@ -212,10 +208,10 @@ class _Block:
     def merge(self, other: "_Block") -> None:
         """Fold ``other`` (disjoint or overlapping-free pending block)
         into this one.  Pending blocks are pairwise disjoint, so their
-        gate lists commute and concatenation is a valid linearization."""
+        gate lists commute and concatenation is a valid linearization.
+        The host is the older block, so it keeps its ``order``."""
         self.qubits = tuple(sorted(set(self.qubits) | set(other.qubits)))
         self.gates.extend(other.gates)
-        self.order = min(self.order, other.order)
 
     def emit(self):
         if len(self.gates) == 1:
@@ -251,22 +247,66 @@ def fuse_adjacent_gates(
     flush *every* pending block (so no unitary is ever reordered past
     a measurement, and terminal-measurement circuits stay terminal —
     preserving the vectorized backend's fast path).
+
+    Pending blocks are found through the qubits they hold and layer
+    hosts through per-size heaps, so each gate costs O(max_qubits) heap
+    steps and a pass is linear in circuit size.
     """
     if max_qubits < 1:
         raise PassPipelineError("fuse: max_qubits must be >= 1")
     out = Circuit(
         circuit.num_qubits, circuit.num_bits, [], list(circuit.output_bits)
     )
-    pending: list[_Block] = []
+    # Pending blocks keyed by ``order``, their creation index; a host
+    # is always the oldest block it merges, so the key never changes.
+    pending: dict[int, _Block] = {}
+    # The pending block holding each qubit (pending blocks are disjoint).
+    owner: dict[int, _Block] = {}
+    # Layer-grouping candidates: hosts[s] heaps (order, block) for the
+    # pending blocks of s qubits.  Blocks only grow, so an entry whose
+    # block grew or flushed is stale for good and is popped lazily.
+    hosts: list[list] = [[] for _ in range(max_qubits)]
     counter = 0
+
+    def track(block: _Block) -> None:
+        """Index a block after it is created or grows."""
+        for qubit in block.qubits:
+            owner[qubit] = block
+        if len(block.qubits) < max_qubits:
+            heapq.heappush(hosts[len(block.qubits)], (block.order, block))
+
+    def start(gate: CircuitGate) -> None:
+        nonlocal counter
+        block = _Block(gate, counter)
+        counter += 1
+        pending[block.order] = block
+        track(block)
 
     def flush(blocks: list[_Block]) -> None:
         for block in sorted(blocks, key=lambda b: b.order):
             out.add(block.emit())
-            pending.remove(block)
+            del pending[block.order]
+            for qubit in block.qubits:
+                del owner[qubit]
 
-    def flush_touching(qubits: set[int]) -> None:
-        flush([b for b in pending if qubits & set(b.qubits)])
+    def blocks_on(qubits) -> list[_Block]:
+        """The pending blocks holding any of ``qubits``, oldest first."""
+        found = {owner[q].order: owner[q] for q in qubits if q in owner}
+        return [found[order] for order in sorted(found)]
+
+    def layer_host(room: int) -> Optional[_Block]:
+        """The oldest pending block of at most ``room`` qubits."""
+        best = None
+        for size in range(1, room + 1):
+            heap = hosts[size]
+            while heap and (
+                pending.get(heap[0][0]) is not heap[0][1]
+                or len(heap[0][1].qubits) != size
+            ):
+                heapq.heappop(heap)
+            if heap and (best is None or heap[0][0] < best.order):
+                best = heap[0][1]
+        return best
 
     for inst in circuit.instructions:
         if isinstance(inst, CircuitGate):
@@ -279,60 +319,50 @@ def fuse_adjacent_gates(
                 and not inst.is_symbolic
             )
             if not fusible:
-                flush_touching(set(inst.qubits))
+                flush(blocks_on(inst.qubits))
                 out.add(inst)
                 continue
-            gate_qubits = set(inst.qubits)
-            overlapping = [
-                b for b in pending if gate_qubits & set(b.qubits)
-            ]
-            union = set(gate_qubits)
-            for block in overlapping:
-                union |= set(block.qubits)
+            overlapping = blocks_on(inst.qubits)
+            union = set(inst.qubits).union(*(b.qubits for b in overlapping))
             if overlapping and len(union) <= max_qubits:
                 host = overlapping[0]
                 for other in overlapping[1:]:
                     host.merge(other)
-                    pending.remove(other)
+                    del pending[other.order]
                 host.absorb(inst)
+                track(host)
             elif overlapping:
                 flush(overlapping)
-                pending.append(_Block(inst, counter))
-                counter += 1
+                start(inst)
             else:
-                host = None
-                if layer:
-                    host = next(
-                        (
-                            b
-                            for b in pending
-                            if len(set(b.qubits) | gate_qubits) <= max_qubits
-                        ),
-                        None,
-                    )
+                # Disjoint from every pending block: with ``layer``, join
+                # the oldest one that still fits the budget.
+                host = (
+                    layer_host(max_qubits - len(inst.qubits))
+                    if layer
+                    else None
+                )
                 if host is not None:
                     host.absorb(inst)
+                    track(host)
                 else:
-                    pending.append(_Block(inst, counter))
-                    counter += 1
+                    start(inst)
         elif isinstance(inst, FusedUnitary):
             # Already-fused input (an idempotent re-run): barrier on its
             # qubits, passed through untouched.
-            flush_touching(set(inst.targets))
-            out.add(inst)
-        elif isinstance(inst, (Measurement, Reset)):
-            # Materialization barrier: every pending block flushes, not
-            # just the measured qubit's.  Keeping disjoint blocks
-            # pending *would* be unitarily sound (they commute past the
-            # measurement), but emitting them after it turns a
-            # terminal-measurement circuit into a non-terminal one and
-            # costs the vectorized backend its fast path.
-            flush(list(pending))
+            flush(blocks_on(inst.targets))
             out.add(inst)
         else:
-            flush(list(pending))
+            # Measurements and resets are materialization barriers:
+            # every pending block flushes, not just the measured
+            # qubit's.  Keeping disjoint blocks pending *would* be
+            # unitarily sound (they commute past the measurement), but
+            # emitting them after it turns a terminal-measurement
+            # circuit into a non-terminal one and costs the vectorized
+            # backend its fast path.
+            flush(list(pending.values()))
             out.add(inst)
-    flush(list(pending))
+    flush(list(pending.values()))
     return out
 
 

@@ -13,6 +13,7 @@ multi-controlled Z without the ancilla, which is what simplifies
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 from repro.parameters import is_symbolic
 from repro.qcircuit.circuit import (
@@ -32,6 +33,19 @@ _ADJOINT_PAIRS = {
 }
 
 _TWO_PI = 2 * math.pi
+_FOUR_PI = 4 * math.pi
+
+
+def _period(gate: CircuitGate) -> float:
+    """The angle period of a rotation gate, up to global phase.
+
+    ``p`` repeats every 2π.  ``rx``/``ry``/``rz`` repeat every 2π only
+    up to a global phase (``rz(2π) = -I``); once controlled, that phase
+    is a Z on the control, so a controlled rotation repeats every 4π.
+    """
+    if gate.controls and gate.name != "p":
+        return _FOUR_PI
+    return _TWO_PI
 
 
 def _same_wires(a: CircuitGate, b: CircuitGate) -> bool:
@@ -41,6 +55,11 @@ def _same_wires(a: CircuitGate, b: CircuitGate) -> bool:
         and a.ctrl_states == b.ctrl_states
         and a.condition == b.condition
     )
+
+
+def _is_zero_angle(angle, period: float) -> bool:
+    angle = angle % period
+    return abs(angle) < 1e-12 or abs(angle - period) < 1e-12
 
 
 def _cancels(a: CircuitGate, b: CircuitGate) -> bool:
@@ -57,9 +76,7 @@ def _cancels(a: CircuitGate, b: CircuitGate) -> bool:
             # symbolic angles (theta + -theta) collapse to 0.0 in the
             # ParamExpr arithmetic and never reach this branch.
             return False
-        return abs(total % _TWO_PI) < 1e-12 or (
-            abs((total % _TWO_PI) - _TWO_PI) < 1e-12
-        )
+        return _is_zero_angle(total, _period(a))
     return False
 
 
@@ -69,8 +86,8 @@ def _merge(a: CircuitGate, b: CircuitGate) -> CircuitGate | None:
         return None
     if a.name == b.name and a.name in {"p", "rx", "ry", "rz"}:
         # A symbolic sum merges un-normalized (ParamExpr.__mod__ is the
-        # identity); a concrete sum normalizes into [0, 2π) as before.
-        angle = (a.params[0] + b.params[0]) % _TWO_PI
+        # identity); a concrete sum normalizes into [0, period).
+        angle = (a.params[0] + b.params[0]) % _period(a)
         return CircuitGate(
             a.name, a.targets, a.controls, (angle,), a.ctrl_states, a.condition,
             loc=a.loc,
@@ -82,51 +99,53 @@ def _is_identity(gate: CircuitGate) -> bool:
     if gate.name in {"p", "rx", "ry", "rz"}:
         if gate.is_symbolic:
             return False
-        angle = gate.params[0] % _TWO_PI
-        return abs(angle) < 1e-12 or abs(angle - _TWO_PI) < 1e-12
+        return _is_zero_angle(gate.params[0], _period(gate))
     return False
 
 
 class _Window:
-    """Streaming peephole: tracks the last live gate per qubit."""
+    """Streaming peephole over a per-qubit frontier.
+
+    ``wires[q]`` is the stack of live instruction indices on qubit
+    ``q``, oldest first.  Every deletion the window makes removes the
+    op at the top of each of its wires: a cancelled pair, a merged
+    rotation, and the two gates an H-X-H or H-Z-H rewrite drops.  So
+    each deletion is a pop, "the previous op on this qubit" is
+    ``wires[q][-2]``, and a pass over n instructions costs O(n).
+    """
 
     def __init__(self) -> None:
+        #: Instructions in arrival order; deleted ones become None.
         self.out: list = []
-        self.alive: list[bool] = []
-        self.last: dict[int, int] = {}
+        self.wires: defaultdict[int, list[int]] = defaultdict(list)
+
+    def _top(self, qubit: int) -> int | None:
+        stack = self.wires[qubit]
+        return stack[-1] if stack else None
+
+    def _append(self, inst, qubits) -> None:
+        index = len(self.out)
+        self.out.append(inst)
+        for qubit in qubits:
+            self.wires[qubit].append(index)
+
+    def _pop(self, index: int) -> None:
+        """Delete ``out[index]``, a gate at the top of all its wires."""
+        for qubit in self.out[index].qubits:
+            self.wires[qubit].pop()
+        self.out[index] = None
 
     def _prev_index(self, gate: CircuitGate) -> int | None:
-        indices = {self.last.get(q) for q in gate.qubits}
-        if len(indices) != 1 or None in indices:
+        """The gate at the top of every wire of ``gate``, if one is."""
+        qubits = gate.qubits
+        index = self._top(qubits[0])
+        if index is None or any(self._top(q) != index for q in qubits[1:]):
             return None
-        (index,) = indices
-        if not self.alive[index]:
-            return None
-        prev = self.out[index]
-        if not isinstance(prev, CircuitGate):
-            return None
-        if set(prev.qubits) != set(gate.qubits):
-            return None
-        return index
-
-    def _prev_on_qubit(self, qubit: int, before: int) -> int | None:
-        """The last live gate index touching ``qubit`` before ``before``."""
-        for index in range(before - 1, -1, -1):
-            if not self.alive[index]:
-                continue
-            inst = self.out[index]
-            if isinstance(inst, CircuitGate) and qubit in inst.qubits:
-                return index
-            if isinstance(inst, (Measurement, Reset)) and inst.qubit == qubit:
-                return index
-        return None
+        return index if isinstance(self.out[index], CircuitGate) else None
 
     def push(self, inst) -> None:
-        if isinstance(inst, (Measurement, Reset)):
-            index = len(self.out)
-            self.out.append(inst)
-            self.alive.append(True)
-            self.last[inst.qubit] = index
+        if not isinstance(inst, CircuitGate):
+            self._append(inst, (inst.qubit,))
             return
         gate: CircuitGate = inst
         if _is_identity(gate):
@@ -135,22 +154,16 @@ class _Window:
         if prev_index is not None:
             prev = self.out[prev_index]
             if _cancels(prev, gate):
-                self.alive[prev_index] = False
-                self._refresh_last(prev.qubits)
+                self._pop(prev_index)
                 return
             merged = _merge(prev, gate)
             if merged is not None:
-                self.alive[prev_index] = False
-                self._refresh_last(prev.qubits)
+                self._pop(prev_index)
                 self.push(merged)
                 return
         if self._try_hxh(gate):
             return
-        index = len(self.out)
-        self.out.append(gate)
-        self.alive.append(True)
-        for qubit in gate.qubits:
-            self.last[qubit] = index
+        self._append(gate, gate.qubits)
 
     def _try_hxh(self, gate: CircuitGate) -> bool:
         """H (X|Z) H on one target -> swap X and Z, dropping both H.
@@ -164,21 +177,17 @@ class _Window:
             or gate.condition is not None
         ):
             return False
-        target = gate.targets[0]
-        prev_index = self.last.get(target)
-        if prev_index is None or not self.alive[prev_index]:
+        stack = self.wires[gate.targets[0]]
+        if len(stack) < 2:
             return False
+        prev_index, before_index = stack[-1], stack[-2]
         prev = self.out[prev_index]
         if not (
             isinstance(prev, CircuitGate)
             and prev.name in {"x", "z"}
             and prev.targets == gate.targets
             and prev.condition is None
-            and target not in prev.controls
         ):
-            return False
-        before_index = self._prev_on_qubit(target, prev_index)
-        if before_index is None:
             return False
         before = self.out[before_index]
         if not (
@@ -190,15 +199,11 @@ class _Window:
         ):
             return False
         # The controls of the sandwiched gate must not be touched
-        # between the two H gates (only `prev` sits between them on the
-        # target wire; check control wires saw nothing since `before`).
-        for control in prev.controls:
-            last_on_control = self.last.get(control)
-            if last_on_control is not None and last_on_control > prev_index:
-                return False
-        self.alive[prev_index] = False
-        self.alive[before_index] = False
-        self._refresh_last(prev.qubits)
+        # between the two H gates: ``prev`` must top every wire.
+        if any(self._top(control) != prev_index for control in prev.controls):
+            return False
+        self._pop(prev_index)
+        self._pop(before_index)
         self.push(
             CircuitGate(
                 "z" if prev.name == "x" else "x",
@@ -211,28 +216,8 @@ class _Window:
         )
         return True
 
-    def _refresh_last(self, qubits) -> None:
-        for qubit in qubits:
-            self.last[qubit] = None  # type: ignore[assignment]
-            for index in range(len(self.out) - 1, -1, -1):
-                if not self.alive[index]:
-                    continue
-                inst = self.out[index]
-                touched = (
-                    inst.qubits
-                    if isinstance(inst, CircuitGate)
-                    else (inst.qubit,)
-                )
-                if qubit in touched:
-                    self.last[qubit] = index
-                    break
-            else:
-                self.last.pop(qubit, None)
-            if self.last.get(qubit) is None:
-                self.last.pop(qubit, None)
-
     def result(self) -> list:
-        return [inst for inst, alive in zip(self.out, self.alive) if alive]
+        return [inst for inst in self.out if inst is not None]
 
 
 def _cancellation_pass(instructions: list) -> list:
@@ -279,7 +264,7 @@ def _mcz_from_mcx(mcx: CircuitGate) -> list[CircuitGate]:
     ]
 
 
-def _relaxed_peephole_pass(circuit_num_qubits: int, instructions: list) -> list:
+def _relaxed_peephole_pass(instructions: list) -> list:
     """Paper Fig. 10: MCX onto a |-> ancilla becomes MCZ, ancilla freed.
 
     Per qubit q, scans its op sequence for segments [X, H, MCX(target
@@ -386,8 +371,6 @@ def _dead_reset_pass(instructions: list) -> list:
             continue
         if isinstance(inst, CircuitGate):
             live.update(inst.qubits)
-            if inst.condition is not None:
-                pass  # Classical bits do not keep wires alive.
         else:
             live.add(inst.qubit)
         out_reversed.append(inst)
@@ -402,6 +385,14 @@ def compact_qubits(circuit: Circuit) -> Circuit:
             used.update(inst.qubits)
         else:
             used.add(inst.qubit)
+    if max(used, default=-1) == len(used) - 1:
+        # Already 0..k-1: only trailing wires (if any) disappear.
+        return Circuit(
+            len(used),
+            circuit.num_bits,
+            list(circuit.instructions),
+            list(circuit.output_bits),
+        )
     mapping = {old: new for new, old in enumerate(sorted(used))}
     new = Circuit(
         len(mapping), circuit.num_bits, output_bits=list(circuit.output_bits)
@@ -426,9 +417,7 @@ def run_peephole(
         # Relaxed peephole first: the generic H-X-H rewrite would
         # otherwise consume the |-> shell and hide the Fig. 10 pattern.
         if relaxed:
-            instructions = _relaxed_peephole_pass(
-                circuit.num_qubits, instructions
-            )
+            instructions = _relaxed_peephole_pass(instructions)
         instructions = _cancellation_pass(instructions)
         instructions = _dead_reset_pass(instructions)
         if len(instructions) == before:

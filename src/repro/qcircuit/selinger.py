@@ -12,127 +12,151 @@ textbook ladder built from full 7-T Toffolis, which is kept here as the
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from typing import Optional
 
-from repro.errors import SynthesisError
+from repro.errors import SourceSpan, SynthesisError
+from repro.parameters import is_symbolic
 from repro.qcircuit.circuit import Circuit, CircuitGate
 
 
-def _g(name, target, controls=(), params=()):
-    from repro.parameters import is_symbolic
+class _Gates:
+    """Builds the gates of one decomposition.
 
-    return CircuitGate(
-        name,
-        (target,),
-        tuple(controls),
-        # Halved/negated symbolic angles stay symbolic through the
-        # decomposition (the ParamExpr arithmetic already happened).
-        tuple(p if is_symbolic(p) else float(p) for p in params),
-    )
+    Every gate a source gate decomposes into inherits its classical
+    ``condition`` and provenance span ``loc``, so each emitted gate is
+    constructed exactly once, already carrying both.
+    """
+
+    __slots__ = ("condition", "loc")
+
+    def __init__(
+        self,
+        condition: Optional[tuple[int, int]] = None,
+        loc: Optional[SourceSpan] = None,
+    ) -> None:
+        self.condition = condition
+        self.loc = loc
+
+    def __call__(self, name, target, controls=(), params=()) -> CircuitGate:
+        return CircuitGate(
+            name,
+            (target,),
+            tuple(controls),
+            # Halved/negated symbolic angles stay symbolic through the
+            # decomposition (the ParamExpr arithmetic already happened).
+            tuple(p if is_symbolic(p) else float(p) for p in params),
+            (),
+            self.condition,
+            loc=self.loc,
+        )
+
+    def cx(self, control: int, target: int) -> CircuitGate:
+        return self("x", target, (control,))
 
 
-def _cx(control, target):
-    return _g("x", target, (control,))
+_PLAIN = _Gates()
 
 
-def relative_phase_toffoli(a: int, b: int, t: int) -> list[CircuitGate]:
+def relative_phase_toffoli(
+    a: int, b: int, t: int, g: _Gates = _PLAIN
+) -> list[CircuitGate]:
     """A controlled-iX-style Toffoli: CCX up to relative phase, 4 T."""
     return [
-        _g("h", t),
-        _g("t", t),
-        _cx(b, t),
-        _g("tdg", t),
-        _cx(a, t),
-        _g("t", t),
-        _cx(b, t),
-        _g("tdg", t),
-        _g("h", t),
+        g("h", t),
+        g("t", t),
+        g.cx(b, t),
+        g("tdg", t),
+        g.cx(a, t),
+        g("t", t),
+        g.cx(b, t),
+        g("tdg", t),
+        g("h", t),
     ]
 
 
-def full_toffoli(a: int, b: int, t: int) -> list[CircuitGate]:
+def full_toffoli(a: int, b: int, t: int, g: _Gates = _PLAIN) -> list[CircuitGate]:
     """The textbook 7-T Toffoli."""
     return [
-        _g("h", t),
-        _cx(b, t),
-        _g("tdg", t),
-        _cx(a, t),
-        _g("t", t),
-        _cx(b, t),
-        _g("tdg", t),
-        _cx(a, t),
-        _g("t", b),
-        _g("t", t),
-        _g("h", t),
-        _cx(a, b),
-        _g("t", a),
-        _g("tdg", b),
-        _cx(a, b),
+        g("h", t),
+        g.cx(b, t),
+        g("tdg", t),
+        g.cx(a, t),
+        g("t", t),
+        g.cx(b, t),
+        g("tdg", t),
+        g.cx(a, t),
+        g("t", b),
+        g("t", t),
+        g("h", t),
+        g.cx(a, b),
+        g("t", a),
+        g("tdg", b),
+        g.cx(a, b),
     ]
 
 
-def _cp(control: int, target: int, theta: float) -> list[CircuitGate]:
+def _cp(g: _Gates, control: int, target: int, theta: float) -> list[CircuitGate]:
     """Controlled-P(theta)."""
     return [
-        _g("p", control, params=[theta / 2]),
-        _cx(control, target),
-        _g("p", target, params=[-theta / 2]),
-        _cx(control, target),
-        _g("p", target, params=[theta / 2]),
+        g("p", control, params=[theta / 2]),
+        g.cx(control, target),
+        g("p", target, params=[-theta / 2]),
+        g.cx(control, target),
+        g("p", target, params=[theta / 2]),
     ]
 
 
-def _ch(control: int, target: int) -> list[CircuitGate]:
+def _ch(g: _Gates, control: int, target: int) -> list[CircuitGate]:
     """Controlled-H (verified against the exact unitary in tests)."""
     return [
-        _g("s", target),
-        _g("h", target),
-        _g("t", target),
-        _cx(control, target),
-        _g("tdg", target),
-        _g("h", target),
-        _g("sdg", target),
+        g("s", target),
+        g("h", target),
+        g("t", target),
+        g.cx(control, target),
+        g("tdg", target),
+        g("h", target),
+        g("sdg", target),
     ]
 
 
-def _crz(control: int, target: int, theta: float) -> list[CircuitGate]:
+def _crz(g: _Gates, control: int, target: int, theta: float) -> list[CircuitGate]:
     return [
-        _g("rz", target, params=[theta / 2]),
-        _cx(control, target),
-        _g("rz", target, params=[-theta / 2]),
-        _cx(control, target),
+        g("rz", target, params=[theta / 2]),
+        g.cx(control, target),
+        g("rz", target, params=[-theta / 2]),
+        g.cx(control, target),
     ]
 
 
-def _cry(control: int, target: int, theta: float) -> list[CircuitGate]:
+def _cry(g: _Gates, control: int, target: int, theta: float) -> list[CircuitGate]:
     return [
-        _g("ry", target, params=[theta / 2]),
-        _cx(control, target),
-        _g("ry", target, params=[-theta / 2]),
-        _cx(control, target),
+        g("ry", target, params=[theta / 2]),
+        g.cx(control, target),
+        g("ry", target, params=[-theta / 2]),
+        g.cx(control, target),
     ]
 
 
-def _crx(control: int, target: int, theta: float) -> list[CircuitGate]:
+def _crx(g: _Gates, control: int, target: int, theta: float) -> list[CircuitGate]:
     return (
-        [_g("h", target)]
-        + _crz(control, target, theta)
-        + [_g("h", target)]
+        [g("h", target)]
+        + _crz(g, control, target, theta)
+        + [g("h", target)]
     )
 
 
 _SINGLE_CONTROL = {
-    "z": lambda c, t, params: _cp(c, t, math.pi),
-    "s": lambda c, t, params: _cp(c, t, math.pi / 2),
-    "sdg": lambda c, t, params: _cp(c, t, -math.pi / 2),
-    "t": lambda c, t, params: _cp(c, t, math.pi / 4),
-    "tdg": lambda c, t, params: _cp(c, t, -math.pi / 4),
-    "p": lambda c, t, params: _cp(c, t, params[0]),
-    "h": lambda c, t, params: _ch(c, t),
-    "rz": lambda c, t, params: _crz(c, t, params[0]),
-    "ry": lambda c, t, params: _cry(c, t, params[0]),
-    "rx": lambda c, t, params: _crx(c, t, params[0]),
-    "y": lambda c, t, params: [_g("sdg", t), _cx(c, t), _g("s", t)],
+    "z": lambda g, c, t, params: _cp(g, c, t, math.pi),
+    "s": lambda g, c, t, params: _cp(g, c, t, math.pi / 2),
+    "sdg": lambda g, c, t, params: _cp(g, c, t, -math.pi / 2),
+    "t": lambda g, c, t, params: _cp(g, c, t, math.pi / 4),
+    "tdg": lambda g, c, t, params: _cp(g, c, t, -math.pi / 4),
+    "p": lambda g, c, t, params: _cp(g, c, t, params[0]),
+    "h": lambda g, c, t, params: _ch(g, c, t),
+    "rz": lambda g, c, t, params: _crz(g, c, t, params[0]),
+    "ry": lambda g, c, t, params: _cry(g, c, t, params[0]),
+    "rx": lambda g, c, t, params: _crx(g, c, t, params[0]),
+    "y": lambda g, c, t, params: [g("sdg", t), g.cx(c, t), g("s", t)],
 }
 
 
@@ -140,7 +164,8 @@ class _Decomposer:
     def __init__(self, num_qubits: int, use_selinger: bool) -> None:
         self.num_qubits = num_qubits
         self.use_selinger = use_selinger
-        self.out: list[CircuitGate] = []
+        self.out: list = []
+        self.g = _PLAIN
         self._free: list[int] = []
 
     def alloc(self) -> int:
@@ -155,9 +180,9 @@ class _Decomposer:
 
     def toffoli(self, a: int, b: int, t: int, relative: bool) -> None:
         if relative and self.use_selinger:
-            self.out.extend(relative_phase_toffoli(a, b, t))
+            self.out.extend(relative_phase_toffoli(a, b, t, self.g))
         else:
-            self.out.extend(full_toffoli(a, b, t))
+            self.out.extend(full_toffoli(a, b, t, self.g))
 
     def and_ladder(self, controls: list[int]) -> tuple[int, list]:
         """Compute the AND of all controls into a fresh ancilla.
@@ -183,6 +208,8 @@ class _Decomposer:
             self.free(ancilla)
 
     def emit(self, gate: CircuitGate) -> None:
+        """Append the decomposition of ``gate``, which has controls."""
+        self.g = _Gates(gate.condition, gate.loc)
         # Normalize negative controls with X conjugation.
         flips = [
             qubit
@@ -190,40 +217,28 @@ class _Decomposer:
             if state == 0
         ]
         for qubit in flips:
-            self.out.append(_g("x", qubit))
+            self.out.append(self.g("x", qubit))
         self._emit_positive(
-            CircuitGate(
-                gate.name,
-                gate.targets,
-                gate.controls,
-                gate.params,
-                (1,) * len(gate.controls),
-            )
+            gate.name, gate.targets, list(gate.controls), gate.params
         )
         for qubit in reversed(flips):
-            self.out.append(_g("x", qubit))
+            self.out.append(self.g("x", qubit))
 
-    def _emit_positive(self, gate: CircuitGate) -> None:
-        controls = list(gate.controls)
-        if gate.name == "swap":
-            a, b = gate.targets
-            if not controls:
-                self.out.append(CircuitGate("swap", (a, b)))
-                return
+    def _emit_positive(self, name, targets, controls, params) -> None:
+        """Decompose ``name`` on ``targets`` controlled on |1> of every
+        qubit in ``controls`` (at least one)."""
+        g = self.g
+        if name == "swap":
             # cswap = CX(b,a) . C^{n+1}X . CX(b,a).
-            self.out.append(_cx(b, a))
-            self._emit_positive(
-                CircuitGate("x", (b,), tuple(controls) + (a,))
-            )
-            self.out.append(_cx(b, a))
+            a, b = targets
+            self.out.append(g.cx(b, a))
+            self._emit_positive("x", (b,), controls + [a], ())
+            self.out.append(g.cx(b, a))
             return
-        (target,) = gate.targets
-        if not controls:
-            self.out.append(gate)
-            return
-        if gate.name == "x":
+        (target,) = targets
+        if name == "x":
             if len(controls) == 1:
-                self.out.append(gate)
+                self.out.append(g.cx(controls[0], target))
                 return
             if len(controls) == 2:
                 self.toffoli(controls[0], controls[1], target, relative=False)
@@ -235,17 +250,15 @@ class _Decomposer:
             return
         # Other gates: reduce to a single control via the AND ladder.
         if len(controls) == 1:
-            builder = _SINGLE_CONTROL.get(gate.name)
+            builder = _SINGLE_CONTROL.get(name)
             if builder is None:
                 raise SynthesisError(
-                    f"no controlled decomposition for gate {gate.name!r}"
+                    f"no controlled decomposition for gate {name!r}"
                 )
-            self.out.extend(builder(controls[0], target, gate.params))
+            self.out.extend(builder(g, controls[0], target, params))
             return
         result, log = self.and_ladder(controls)
-        self._emit_positive(
-            CircuitGate(gate.name, (target,), (result,), gate.params)
-        )
+        self._emit_positive(name, targets, [result], params)
         self.undo_ladder(log)
 
 
@@ -257,33 +270,18 @@ def decompose_multi_controlled(
     ``use_selinger=True`` applies the controlled-iX scheme (paper
     §6.5); ``use_selinger=False`` uses full 7-T Toffolis throughout,
     modeling the costlier decompositions of baseline compilers.
+    Decomposed gates inherit the source gate's condition and
+    provenance span.
     """
     decomposer = _Decomposer(circuit.num_qubits, use_selinger)
-    new = Circuit(
-        circuit.num_qubits,
-        circuit.num_bits,
-        output_bits=list(circuit.output_bits),
-    )
     for inst in circuit.instructions:
-        if isinstance(inst, CircuitGate) and (
-            inst.controls or inst.name not in ("x", "swap")
-        ):
-            decomposer.out = []
+        if isinstance(inst, CircuitGate) and inst.controls:
             decomposer.emit(inst)
-            for gate in decomposer.out:
-                # Decomposed gates inherit the source gate's condition
-                # and provenance span.
-                gate = replace(
-                    gate,
-                    condition=(
-                        inst.condition
-                        if inst.condition is not None
-                        else gate.condition
-                    ),
-                    loc=gate.loc if gate.loc is not None else inst.loc,
-                )
-                new.add(gate)
         else:
-            new.add(inst)
-    new.num_qubits = decomposer.num_qubits
-    return new
+            decomposer.out.append(inst)
+    return Circuit(
+        decomposer.num_qubits,
+        circuit.num_bits,
+        decomposer.out,
+        list(circuit.output_bits),
+    )
