@@ -73,10 +73,6 @@ class BasisLiteral:
         vectors = tuple(sorted(vec.without_phase() for vec in self.vectors))
         return BasisLiteral(vectors)
 
-    def sorted_vectors(self) -> tuple[BasisVector, ...]:
-        """Vectors sorted lexicographically by eigenbits (phases kept)."""
-        return tuple(sorted(self.vectors, key=lambda vec: vec.eigenbits))
-
     def with_prim(self, prim: PrimitiveBasis) -> "BasisLiteral":
         """The same eigenbit pattern re-based onto another primitive basis."""
         return BasisLiteral(

@@ -124,9 +124,6 @@ class LogicNetwork:
     def or_(self, a: Signal, b: Signal) -> Signal:
         return ~self.and_(~a, ~b)
 
-    def not_(self, a: Signal) -> Signal:
-        return ~a
-
     def add_output(self, signal: Signal) -> None:
         self.outputs.append(signal)
 

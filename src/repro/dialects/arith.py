@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.ir.core import Operation, Value
 from repro.ir.module import Builder, ModuleOp
 from repro.ir.rewrite import RewritePattern
-from repro.ir.types import F64, I1
+from repro.ir.types import F64
 
 CONSTANT = "arith.constant"
 ADDF = "arith.addf"
@@ -26,10 +26,6 @@ STATIONARY_OPS = {CONSTANT, ADDF, SUBF, MULF, DIVF, NEGF}
 
 def constant(builder: Builder, value: float) -> Value:
     return builder.create(CONSTANT, [], [F64], {"value": float(value)}).result
-
-
-def constant_i1(builder: Builder, value: bool) -> Value:
-    return builder.create(CONSTANT, [], [I1], {"value": bool(value)}).result
 
 
 def _binary(name: str, builder: Builder, lhs: Value, rhs: Value) -> Value:

@@ -143,13 +143,6 @@ def gate(
     return list(op.results)
 
 
-def gate_controls(op: Operation) -> tuple[Value, ...]:
-    return op.operands[: op.attrs["num_controls"]]
-
-def gate_targets(op: Operation) -> tuple[Value, ...]:
-    return op.operands[op.attrs["num_controls"]:]
-
-
 def arrpack(
     builder: Builder, values: Sequence[Value], element: Type, loc: Loc = None
 ) -> Value:

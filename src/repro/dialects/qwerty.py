@@ -259,10 +259,3 @@ def return_op(
     builder: Builder, values: Sequence[Value], loc: Loc = None
 ) -> Operation:
     return builder.create(RETURN, list(values), [], loc=loc)
-
-
-def is_quantum_op(op: Operation) -> bool:
-    """Whether the op consumes or produces quantum values."""
-    return any(v.type.is_quantum for v in op.operands) or any(
-        r.type.is_quantum for r in op.results
-    )

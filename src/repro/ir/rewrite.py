@@ -27,14 +27,6 @@ class RewritePattern:
     fn: Callable[[Operation, ModuleOp], bool]
 
 
-def erase_if_dead(op: Operation) -> bool:
-    """Erase a side-effect-free op whose results are all unused."""
-    if any(result.uses for result in op.results):
-        return False
-    op.erase()
-    return True
-
-
 #: Ops that must never be erased even when their results are unused.
 _SIDE_EFFECT_OPS = {
     "func.return",

@@ -25,16 +25,6 @@ def _is_linear(value: Value) -> bool:
     return value.type.is_quantum
 
 
-def register_verifier(name: str):
-    """Decorator registering a per-op verifier."""
-
-    def wrap(fn: Callable[[Operation], None]):
-        OP_VERIFIERS[name] = fn
-        return fn
-
-    return wrap
-
-
 def _verify_block(block: Block, visible: set[int]) -> None:
     defined = set(visible)
     for arg in block.args:

@@ -159,30 +159,6 @@ def _adj_call_indirect(op: Operation, builder: Builder, amap: _AdjointMap) -> No
         amap.set(original, adjoint)
 
 
-def adjoint_block_into(
-    source_ops: list[Operation],
-    source_inputs: list[Value],
-    source_outputs: list[Value],
-    builder: Builder,
-    adjoint_inputs: list[Value],
-) -> list[Value]:
-    """Build the adjoint of a straight-line op list into ``builder``.
-
-    ``source_inputs``/``source_outputs`` are the quantum interface of
-    the original op list; ``adjoint_inputs`` are the values (of the
-    output types) available in the new block.  Returns the adjoint
-    values corresponding to ``source_inputs``.
-    """
-    return _adjoint_ops_into(
-        source_ops,
-        source_inputs,
-        source_outputs,
-        builder,
-        adjoint_inputs,
-        _AdjointMap(),
-    )
-
-
 def _adjoint_ops_into(
     source_ops: list[Operation],
     source_inputs: list[Value],

@@ -49,10 +49,6 @@ class LogicalCounts:
     measurements: int
     logical_depth: int
 
-    @property
-    def has_magic_states(self) -> bool:
-        return self.t_gates > 0 or self.rotations > 0
-
 
 def count_logical_resources(circuit: Circuit) -> LogicalCounts:
     """Count logical resources; the circuit should already be
