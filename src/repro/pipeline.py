@@ -104,36 +104,6 @@ class CompileOptions:
             )
         return dataclasses.replace(base, **overrides)
 
-    @classmethod
-    def from_flags(
-        cls,
-        inline: bool = True,
-        peephole: bool = True,
-        relaxed_peephole: bool = True,
-        selinger: bool = True,
-        to_circuit: bool = True,
-        verify: bool = True,
-    ) -> "CompileOptions":
-        """Translate the legacy boolean flags into pipeline specs."""
-        if peephole:
-            optimize_spec = (
-                "peephole{relaxed=true}"
-                if relaxed_peephole
-                else "peephole{relaxed=false}"
-            )
-        else:
-            optimize_spec = ""
-        scheme = "selinger" if selinger else "naive"
-        return cls(
-            qwerty_spec=QWERTY_OPT_SPEC if inline else QWERTY_NOOPT_SPEC,
-            optimize_spec=optimize_spec,
-            decompose_spec=(
-                f"decompose-multi-controlled{{scheme={scheme}}},"
-                f"peephole{{relaxed=false}}"
-            ),
-            to_circuit=to_circuit and inline,
-            verify=verify,
-        )
 
 #: Presets matching the paper's configurations: "default" is the full
 #: pipeline, "no-opt" is Table 1's "Asdf (No Opt)", and the remaining
@@ -528,16 +498,14 @@ def compile_kernel(
     *,
     pipeline: Optional[str] = None,
     cache: bool = False,
-    **flags,
 ) -> CompileResult:
     """Compile a ``@qpu`` kernel through the full pipeline.
 
-    The configuration comes from exactly one of: ``options`` (a
-    :class:`CompileOptions`), ``pipeline`` (a preset name such as
-    ``"no-opt"``), or the legacy boolean flags (``inline``,
-    ``peephole``, ``relaxed_peephole``, ``selinger``, ``to_circuit``,
-    ``verify``).  ``inline=False`` reproduces the paper's "Asdf (No
-    Opt)" Table 1 configuration; the result then has no flat circuit
+    The configuration comes from at most one of ``options`` (a
+    :class:`CompileOptions`) and ``pipeline`` (a preset name from
+    :data:`PRESETS`); neither means the ``"default"`` preset.
+    ``pipeline="no-opt"`` reproduces the paper's "Asdf (No Opt)"
+    Table 1 configuration; the result then has no flat circuit
     (function values survive as QIR callables).
 
     ``cache=True`` consults the per-process compile cache; the returned
@@ -549,7 +517,7 @@ def compile_kernel(
         cache=cache,
     ) as span:
         result = _compile_kernel_impl(
-            kernel, options, pipeline=pipeline, cache=cache, **flags
+            kernel, options, pipeline=pipeline, cache=cache
         )
         span.set(provenance=result.provenance)
     _COMPILES.inc(provenance=result.provenance)
@@ -561,22 +529,15 @@ def _compile_kernel_impl(
     options: Optional[CompileOptions] = None,
     pipeline: Optional[str] = None,
     cache: bool = False,
-    **flags,
 ) -> CompileResult:
-    if sum(x is not None for x in (options, pipeline)) + bool(flags) > 1:
-        raise TypeError(
-            "pass exactly one of options=, pipeline=, or boolean flags"
-        )
+    if options is not None and pipeline is not None:
+        raise TypeError("pass at most one of options= and pipeline=")
     # Chaos hook: an active `compile_error` fault plan fails the
     # compile up front with a coded diagnostic (before any cache
     # consultation, so a warm cache cannot hide the injection).
     _faults.maybe_inject_compile_error(kernel.name)
     if options is None:
-        options = (
-            CompileOptions.preset(pipeline)
-            if pipeline is not None
-            else CompileOptions.from_flags(**flags)
-        )
+        options = CompileOptions.preset(pipeline or "default")
 
     cache_key = None
     disk_digest = None
