@@ -17,17 +17,17 @@ from repro.sim.kernels import (
 )
 from repro.sim.statevector import (
     StatevectorSimulator,
-    apply_gates_to_state,
     apply_matrix_inplace,
     gate_matrix,
     run_circuit,
-    unitary_of_gates,
 )
 from repro.sim.batched import (
     MAX_BATCH_BYTES,
     BatchedStatevector,
+    apply_gates_to_state,
     batch_chunk_size,
     batched_run,
+    unitary_of_gates,
 )
 from repro.sim.backend import (
     DEFAULT_BACKEND,

@@ -11,23 +11,24 @@ Three backends ship in-tree:
 
 ``"interpreter"``
     One independent statevector trajectory per shot, seeded
-    ``seed + shot``.  O(shots x gates x 2^n), but handles every circuit
-    and reproduces the repository's historical shot sequences exactly.
+    ``seed + shot``, on the per-shot engine
+    (:class:`~repro.sim.statevector.StatevectorSimulator`).
+    O(shots x gates x 2^n), but handles every circuit and reproduces
+    the repository's historical shot sequences exactly.
 
 ``"statevector"``
-    The vectorized sampler.  For *terminal-measurement* circuits (all
-    measurements after the last gate, no classical control, no reset
-    before a measurement) it evolves the state **once** — through a
-    gate-fused, matrix-cached evolution — and draws all shots from
+    The vectorized sampler, on the batched engine
+    (:mod:`repro.sim.batched`).  For *terminal-measurement* circuits
+    (all measurements after the last gate, no classical control, no
+    reset before a measurement) it evolves **one** row (B = 1) through
+    a gate-fused, matrix-cached evolution and draws all shots from
     |psi|^2 with a single ``np.random.Generator.choice`` call, making
     shot count a near-constant cost.  Circuits with genuine mid-circuit
     measurement, classically conditioned gates, or mid-evolution reset
     — and every run under a noise model, whose per-shot Kraus draws
-    rule out a shared evolution — run on the **batched trajectory
-    engine** (:mod:`repro.sim.batched`): all shots evolve
-    simultaneously as one ``(shots, 2, ..., 2)`` array, so
-    teleportation at 4096 shots is one batched sweep instead of 4096
-    Python evolutions.
+    rule out a shared evolution — evolve one row per shot
+    (B = shots): teleportation at 4096 shots is one batched sweep
+    instead of 4096 Python evolutions.
 
 ``"density_matrix"``
     The exact noise reference (:mod:`repro.sim.density`): rho evolves
@@ -59,7 +60,7 @@ from repro.qcircuit.fusion import (
     fuse_single_qubit_gates,
     fused_gate_savings,
 )
-from repro.sim.batched import batched_run
+from repro.sim.batched import BatchedStatevector, batched_run
 from repro.sim.kernels import active_kernel_name
 from repro.sim.statevector import StatevectorSimulator
 
@@ -216,10 +217,10 @@ class RunInfo:
 class SimBackend:
     """Protocol for simulation backends.
 
-    Subclasses implement :meth:`run_with_info`; :meth:`run` and
-    :meth:`make_simulator` have default implementations.  Instances
-    must be stateless across calls (one backend object may serve many
-    threads of the evaluation harness).
+    Subclasses implement :meth:`run_with_info`; :meth:`run` has a
+    default implementation.  Instances must be stateless across calls
+    (one backend object may serve many threads of the evaluation
+    harness).
     """
 
     #: Registry name; subclasses override.
@@ -256,16 +257,6 @@ class SimBackend:
     ) -> tuple[list[tuple[int, ...]], RunInfo]:
         """Like :meth:`run`, also returning a :class:`RunInfo`."""
         raise NotImplementedError
-
-    def make_simulator(
-        self, num_qubits: int, num_bits: int = 0, seed: int = 0
-    ) -> StatevectorSimulator:
-        """A step-by-step simulator for op-at-a-time execution.
-
-        Used by the module interpreter, whose control flow (callable
-        invocation, ``scf.if``) cannot be replayed as a flat circuit.
-        """
-        return StatevectorSimulator(num_qubits, num_bits, seed=seed)
 
 
 def _trajectory_run(
@@ -387,11 +378,11 @@ def terminal_measurement_plan(
 class VectorizedStatevectorBackend(SimBackend):
     """Vectorized statevector backend.
 
-    Terminal-measurement circuits: one evolution + vectorized sampling.
-    Everything else — including *every* run under a noise model, whose
-    per-shot Kraus draws rule out the single-evolution fast path — runs
-    on the shot-batched trajectory engine (:mod:`repro.sim.batched`),
-    which evolves all shots as one array.
+    Terminal-measurement circuits: one B = 1 evolution on the batched
+    engine + vectorized sampling.  Everything else — including *every*
+    run under a noise model, whose per-shot Kraus draws rule out the
+    single-evolution fast path — evolves all shots as one batch
+    (:func:`repro.sim.batched.batched_run`).
     """
 
     name = "statevector"
@@ -445,10 +436,12 @@ class VectorizedStatevectorBackend(SimBackend):
             "sim.sweep",
             engine="fast-path", shots=shots, qubits=circuit.num_qubits,
         ):
-            sim = StatevectorSimulator(circuit.num_qubits, circuit.num_bits)
-            sim.apply_fused(fused)
-            results = _sample_terminal(
-                sim.state, circuit, plan, shots, np.random.default_rng(seed)
+            engine = BatchedStatevector(1, circuit.num_qubits)
+            for op in fused:
+                engine.apply(op.matrix, op.targets, op.controls, op.ctrl_states)
+            results = sample_measurement_probabilities(
+                np.abs(engine.state[0]) ** 2, circuit, plan, shots,
+                np.random.default_rng(seed),
             )
         _SWEEPS.inc(engine="fast-path")
         return results, RunInfo(
@@ -460,19 +453,6 @@ class VectorizedStatevectorBackend(SimBackend):
             gates_fused=fused_gate_savings(circuit),
             kernel=active_kernel_name(),
         )
-
-
-def _sample_terminal(
-    state: np.ndarray,
-    circuit: Circuit,
-    plan: Sequence[Measurement],
-    shots: int,
-    rng: np.random.Generator,
-) -> list[tuple[int, ...]]:
-    """Draw ``shots`` samples of the plan's measurements from |psi|^2."""
-    return sample_measurement_probabilities(
-        np.abs(state) ** 2, circuit, plan, shots, rng
-    )
 
 
 def sample_measurement_probabilities(

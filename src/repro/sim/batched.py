@@ -1,51 +1,58 @@
-"""Shot-batched statevector trajectories for non-terminal circuits.
+"""The batched statevector engine: ``B`` trajectories as one array.
 
-The terminal-measurement fast path (:mod:`repro.sim.backend`) cannot
-touch circuits with mid-circuit measurement, classically conditioned
-gates, or mid-evolution reset — teleportation, repeat-until-success
-patterns, and the qubit-reuse layouts of Fig. 12 — because each shot's
-evolution depends on its own measurement outcomes.  Historically those
-circuits dropped to a Python loop doing one full statevector evolution
-per shot (``RunInfo.evolutions == shots``), the single largest
-remaining hot path of the shot runner.
+:class:`BatchedStatevector` holds one ``(B, 2, 2, ..., 2)`` complex
+array — axis 0 is the batch row, axis ``1 + q`` is qubit ``q`` — and is
+the engine of every vectorized evaluation in the repository; the
+callers differ only in what a row means and in ``B``:
 
-This module executes *all shots simultaneously* instead.  The state is
-one ``(shots, 2, 2, ..., 2)`` complex array — axis 0 is the shot, axis
-``1 + q`` is qubit ``q`` — and:
+- the terminal-measurement fast path (:mod:`repro.sim.backend`)
+  evolves one row (B = 1) and samples every shot from ``|psi|^2``;
+- :func:`batched_run` evolves one row per shot (B = shots) for
+  circuits with mid-circuit measurement, classically conditioned
+  gates, or mid-evolution reset, and for every noisy run;
+- the variational grid (:mod:`repro.variational.evaluate`) evolves one
+  row per parameter point (B = G), applying a ``(G, 2, 2)`` matrix
+  stack for each symbolic gate; ``exact_probabilities`` is B = 1;
+- :func:`apply_gates_to_state` is B = 1, and :func:`unitary_of_gates`
+  evolves all 2^n basis columns as one B = 2^n batch.
 
-- gates apply via one :func:`~repro.sim.statevector.apply_matrix_inplace`
-  sweep over the whole batch (the shot axis rides along in the matmul's
+Operations on the batch:
+
+- gates apply via one :func:`~repro.sim.kernels.apply_matrix_inplace`
+  sweep over the whole batch (the row axis rides along in the matmul's
   column dimension);
-- a :class:`~repro.qcircuit.circuit.Measurement` computes every shot's
+- a :class:`~repro.qcircuit.circuit.Measurement` computes every row's
   ``p(1)`` with one einsum, draws all outcomes from a single
-  ``rng.random(shots)`` call, zeroes the complementary slice per shot,
+  ``rng.random(shots)`` call, zeroes the complementary slice per row,
   and renormalizes each row;
 - classically conditioned gates apply the unitary only to the
   boolean-masked sub-batch whose condition bit matches;
 - :class:`~repro.qcircuit.circuit.Reset` composes a measurement with a
-  masked X on the shots that collapsed to |1>;
+  masked X on the rows that collapsed to |1>;
 - a Kraus channel (noisy runs — docs/noise.md) is unraveled with **one
-  masked draw per application**: per-shot operator probabilities
+  masked draw per application**: per-row operator probabilities
   ``||K_i |psi>||^2``, a single ``rng.random(shots)`` selection, and
   one masked sub-batch sweep per operator (:meth:`apply_kraus`).
 
-Memory envelope: the batch array holds ``shots x 2^n`` complex128
-amplitudes (16 bytes each).  When that exceeds
-:data:`MAX_BATCH_BYTES`, the shots are split into chunks and each chunk
-runs as its own batched sweep — ``RunInfo.evolutions`` reports the
-number of sweeps honestly (1 for teleportation at 4096 shots; more
-only for very wide circuits at very high shot counts).
+Memory envelope: the batch array holds ``B x 2^n`` complex128
+amplitudes (16 bytes each).  When a shot batch exceeds
+:data:`MAX_BATCH_BYTES`, :func:`batched_run` splits the shots into
+chunks and runs each chunk as its own batched sweep —
+``RunInfo.evolutions`` reports the number of sweeps honestly (1 for
+teleportation at 4096 shots; more only for very wide circuits at very
+high shot counts).
 
-The per-shot RNG streams differ from the ``interpreter`` backend's
-``seed + shot`` convention (here one ``Generator(seed)`` drives every
-measurement of the batch), so results agree in distribution, not bit
-for bit; the interpreter backend remains the bit-exact per-shot
-reference.  See docs/simulators.md ("Batched trajectory engine").
+The per-shot RNG streams of :func:`batched_run` differ from the
+``interpreter`` backend's ``seed + shot`` convention (here one
+``Generator(seed)`` drives every measurement of the batch), so results
+agree in distribution, not bit for bit; the interpreter backend
+(:class:`~repro.sim.statevector.StatevectorSimulator`) remains the
+bit-exact per-shot reference.  See docs/simulators.md ("Engine map").
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -54,11 +61,8 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
 from repro.qcircuit.fusion import FusedUnitary
-from repro.sim.statevector import (
-    apply_matrix_inplace,
-    control_sliced_view,
-    gate_matrix,
-)
+from repro.sim.kernels import apply_matrix_inplace, gate_matrix
+from repro.sim.statevector import control_sliced_view
 
 #: Memory envelope for one batched state array, in bytes.  A batch of
 #: ``shots`` trajectories on ``n`` qubits holds ``shots * 2^n``
@@ -85,13 +89,16 @@ def batch_chunk_size(
 
 
 class BatchedStatevector:
-    """``shots`` statevector trajectories evolved as one array.
+    """``shots`` statevector rows evolved as one array.
 
-    The dual of :class:`~repro.sim.statevector.StatevectorSimulator`
-    with a leading shot axis: same qubit-ordering convention (qubit 0
-    is the leftmost ket bit), same instruction semantics, but every
+    The same qubit-ordering convention as
+    :class:`~repro.sim.statevector.StatevectorSimulator` (qubit 0 is
+    the leftmost ket bit) and the same instruction semantics, but every
     operation is vectorized across the batch.  ``bits`` is the
-    ``(shots, num_bits)`` classical register.
+    ``(shots, num_bits)`` classical register.  ``rng`` drives
+    measurement and noise draws; when none is given, a
+    ``Generator(0)`` is built on the first draw, so runs that never
+    draw (the fast path, the variational grid) never build one.
     """
 
     def __init__(
@@ -113,46 +120,81 @@ class BatchedStatevector:
         self.state = np.zeros((shots,) + (2,) * axes, dtype=complex)
         self.state[(slice(None),) + (0,) * axes] = 1.0
         self.bits = np.zeros((shots, num_bits), dtype=np.int64)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = rng
+
+    @property
+    def rng(self) -> np.random.Generator:
+        if self._rng is None:
+            self._rng = np.random.default_rng(0)
+        return self._rng
 
     # ------------------------------------------------------------------
     # Gate application.
     # ------------------------------------------------------------------
+    def apply(
+        self,
+        matrix: np.ndarray,
+        targets: Sequence[int],
+        controls: Sequence[int] = (),
+        ctrl_states: Sequence[int] = (),
+    ) -> None:
+        """Apply ``matrix`` to ``targets`` of every row, controlled on
+        ``controls`` reading ``ctrl_states``.
+
+        ``matrix`` is one ``2^k x 2^k`` unitary shared by every row, or
+        a ``(shots, 2, 2)`` stack holding one single-qubit matrix per
+        row (a symbolic gate evaluated over a parameter grid).
+        """
+        self._apply(self.state, matrix, targets, controls, ctrl_states)
+
     def apply_gate(self, gate: CircuitGate) -> None:
         matrix = gate_matrix(gate.name, gate.params)
         if gate.condition is None:
-            self._apply(self.state, matrix, gate)
+            self._apply(
+                self.state, matrix, gate.targets, gate.controls,
+                gate.ctrl_states,
+            )
             return
         bit, required = gate.condition
-        self._apply_to_masked(self.bits[:, bit] == required, matrix, gate)
+        self._apply_to_masked(
+            self.bits[:, bit] == required, matrix, gate.targets,
+            gate.controls, gate.ctrl_states,
+        )
 
-    def _apply(
-        self, states: np.ndarray, matrix: np.ndarray, gate: CircuitGate
-    ) -> None:
-        """Apply ``matrix`` on ``gate``'s qubits across a batch array."""
-        # axis_offset=1: the shot axis 0 always survives the control
+    @staticmethod
+    def _apply(states, matrix, targets, controls=(), ctrl_states=()):
+        # axis_offset=1: the row axis 0 always survives the control
         # slicing; qubit q lives on axis 1 + q.
         view, axes = control_sliced_view(
-            states, gate.targets, gate.controls, gate.ctrl_states,
-            axis_offset=1,
+            states, targets, controls, ctrl_states, axis_offset=1
         )
-        apply_matrix_inplace(view, matrix, axes)
+        if matrix.ndim == 2:
+            apply_matrix_inplace(view, matrix, axes)
+            return
+        # One 2x2 matrix per row: bring the target axis next to the row
+        # axis and combine its two halves elementwise.
+        moved = np.moveaxis(view, axes[0], 1)
+        m = matrix.reshape(matrix.shape + (1,) * (moved.ndim - 2))
+        zero = moved[:, 0].copy()
+        one = moved[:, 1]
+        moved[:, 0] = m[:, 0, 0] * zero + m[:, 0, 1] * one
+        moved[:, 1] = m[:, 1, 0] * zero + m[:, 1, 1] * one
 
     def _apply_to_masked(
-        self, mask: np.ndarray, matrix: np.ndarray, gate: CircuitGate
+        self, mask, matrix, targets, controls=(), ctrl_states=()
     ) -> None:
-        """Apply ``matrix`` only to the trajectories ``mask`` selects.
+        """Apply ``matrix`` only to the rows ``mask`` selects.
 
-        Fancy indexing copies the selected trajectories out, so the
-        sub-batch must be scattered back after the gate.
+        Fancy indexing copies the selected rows out, so the sub-batch
+        must be scattered back after the gate.
         """
         if not mask.any():
             return
         if mask.all():
-            self._apply(self.state, matrix, gate)
+            self._apply(self.state, matrix, targets, controls, ctrl_states)
             return
         sub = self.state[mask]
-        self._apply(sub, matrix, gate)
+        self._apply(sub, matrix, targets, controls, ctrl_states)
         self.state[mask] = sub
 
     # ------------------------------------------------------------------
@@ -198,9 +240,7 @@ class BatchedStatevector:
     def reset(self, qubit: int) -> None:
         """Reset ``qubit`` to |0> on every shot: measure + masked X."""
         outcomes = self.measure(qubit)
-        self._apply_to_masked(
-            outcomes == 1, gate_matrix("x"), CircuitGate("x", (qubit,))
-        )
+        self._apply_to_masked(outcomes == 1, gate_matrix("x"), (qubit,))
 
     # ------------------------------------------------------------------
     # Stochastic Kraus unraveling (noise).
@@ -331,12 +371,10 @@ class BatchedStatevector:
                             if stats is not None and fired:
                                 stats.channel_applications += 1
             elif isinstance(inst, FusedUnitary):
-                # Fused blocks are unconditioned unitaries; the shot
-                # axis rides along exactly as for plain gates.  Noise
-                # models attach channels by gate name, so fused blocks
-                # carry none (noisy runs execute the unfused circuit).
-                axes = tuple(1 + q for q in inst.targets)
-                apply_matrix_inplace(self.state, inst.matrix, axes)
+                # Fused blocks are unconditioned unitaries.  Noise models
+                # attach channels by gate name, so fused blocks carry
+                # none (noisy runs execute the unfused circuit).
+                self.apply(inst.matrix, inst.targets)
             elif isinstance(inst, Measurement):
                 self._record_measurement(inst, noise_model, stats)
             elif isinstance(inst, Reset):
@@ -392,3 +430,46 @@ def batched_run(
         sweeps += 1
         done += size
     return results, sweeps
+
+
+def _evolve(engine: BatchedStatevector, gates: Sequence) -> None:
+    for gate in gates:
+        if isinstance(gate, FusedUnitary):
+            engine.apply(gate.matrix, gate.targets)
+        else:
+            engine.apply_gate(gate)
+
+
+def apply_gates_to_state(
+    gates: Sequence,
+    num_qubits: int,
+    initial: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Apply a gate list to a statevector (default |0...0>).
+
+    Accepts :class:`~repro.qcircuit.circuit.CircuitGate` and
+    :class:`~repro.qcircuit.fusion.FusedUnitary` entries, so fused and
+    unfused circuits can be compared through one helper.
+    """
+    engine = BatchedStatevector(1, num_qubits)
+    if initial is not None:
+        if initial.size != 2**num_qubits:
+            raise SimulationError("initial state has the wrong dimension")
+        engine.state[0] = np.reshape(initial, engine.state.shape[1:])
+    _evolve(engine, gates)
+    return engine.state.reshape(-1)
+
+
+def unitary_of_gates(gates: Sequence, num_qubits: int) -> np.ndarray:
+    """The full 2^n x 2^n unitary of a gate list (small n only).
+
+    Row ``c`` of the batch starts as basis state ``c``, so after the
+    evolution it holds column ``c`` of the unitary.
+    """
+    if num_qubits > 10:
+        raise SimulationError("unitary extraction limited to 10 qubits")
+    dim = 2**num_qubits
+    engine = BatchedStatevector(dim, num_qubits)
+    engine.state.reshape(dim, -1)[...] = np.eye(dim)
+    _evolve(engine, gates)
+    return engine.state.reshape(dim, dim).T.copy()

@@ -19,6 +19,7 @@ from repro.errors import QwertyError, SimulationError
 from repro.ir.core import Operation, Value
 from repro.ir.module import FuncOp, ModuleOp
 from repro.qcircuit.circuit import CircuitGate
+from repro.sim.statevector import StatevectorSimulator
 
 
 @dataclass(frozen=True)
@@ -33,27 +34,15 @@ class _Callable:
 class ModuleInterpreter:
     """Interprets one entry-point invocation of a lowered module.
 
-    ``backend`` names a registered simulation backend (see
-    :mod:`repro.sim.backend`); the interpreter asks it for a
-    step-by-step simulator.  Module interpretation is inherently
-    trajectory-based (op-at-a-time, with data-dependent control flow),
-    so vectorized shot sampling never applies here — the backend only
-    chooses the simulator implementation.
+    Module interpretation is inherently trajectory-based (op-at-a-time,
+    with data-dependent control flow), so it runs on the per-shot
+    :class:`~repro.sim.statevector.StatevectorSimulator` seeded
+    ``seed``; vectorized shot sampling never applies here.
     """
 
-    def __init__(
-        self,
-        module: ModuleOp,
-        num_qubits: int = 20,
-        seed: int = 0,
-        backend: str | None = None,
-    ):
-        from repro.sim.backend import get_backend
-
+    def __init__(self, module: ModuleOp, num_qubits: int = 20, seed: int = 0):
         self.module = module
-        self.simulator = get_backend(backend).make_simulator(
-            num_qubits, 0, seed=seed
-        )
+        self.simulator = StatevectorSimulator(num_qubits, 0, seed=seed)
         self._free = list(range(num_qubits))
         self._gate_log: list[CircuitGate] = []
 
@@ -196,11 +185,6 @@ def interpret_module(
     entry: str | None = None,
     num_qubits: int = 20,
     seed: int = 0,
-    backend: str | None = None,
 ) -> list[int]:
-    """Execute a lowered module; returns the measured output bits.
-
-    ``backend`` selects the simulation backend supplying the simulator
-    (see :mod:`repro.sim.backend`).
-    """
-    return ModuleInterpreter(module, num_qubits, seed, backend).run(entry)
+    """Execute a lowered module; returns the measured output bits."""
+    return ModuleInterpreter(module, num_qubits, seed).run(entry)

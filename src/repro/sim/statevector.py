@@ -1,15 +1,19 @@
-"""A dense statevector simulator for flat circuits.
+"""The per-shot statevector engine.
 
-The simulation engine under the pluggable backends of
-:mod:`repro.sim.backend` (together, the reproduction's substitute for
-qir-runner, paper §7): it executes the same circuits the backends emit,
-including mid-circuit measurement, reset, classically conditioned
-gates, multi-controlled gates with arbitrary control polarity, and the
-:class:`~repro.qcircuit.fusion.FusedUnitary` blocks produced by the
-compile-time fusion pass.  Gate matrices are cached per (name, params)
-and every matrix application goes through the pluggable apply-kernel
-registry (:mod:`repro.sim.kernels` — pure NumPy or the optional numba
-JIT).
+:class:`StatevectorSimulator` executes one trajectory of a flat circuit
+op at a time — mid-circuit measurement, reset, classically conditioned
+gates, multi-controlled gates with arbitrary control polarity, Kraus
+unraveling, and the :class:`~repro.qcircuit.fusion.FusedUnitary` blocks
+of the compile-time fusion pass.  It serves the two callers that need
+one trajectory per seed: the ``interpreter`` backend
+(:mod:`repro.sim.backend`, one simulator seeded ``seed + shot`` per
+shot) and :class:`~repro.sim.interpreter.ModuleInterpreter`, whose
+data-dependent control flow cannot be replayed as a flat circuit.
+Every vectorized evaluation runs on the batched engine
+(:mod:`repro.sim.batched`) instead; docs/simulators.md ("Engine map")
+says which path runs where and why this engine stays.  Gate matrices
+are cached per (name, params) and every matrix application goes
+through the pluggable apply-kernel registry (:mod:`repro.sim.kernels`).
 
 Convention: qubit 0 is the *leftmost* qubit of a ket, matching the
 position order of Qwerty qubit literals ('10' means qubit 0 is |1> and
@@ -20,46 +24,22 @@ bit ``(x >> (n - 1 - q)) & 1``.
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
-from repro.qcircuit.fusion import FusedGate, FusedUnitary
+from repro.qcircuit.fusion import FusedUnitary
 from repro.sim.kernels import apply_matrix_inplace, gate_matrix
 
 __all__ = [
     "StatevectorSimulator",
-    "apply_gates_to_state",
     "apply_matrix_inplace",
     "control_sliced_view",
     "gate_matrix",
     "run_circuit",
-    "unitary_of_gates",
 ]
-
-
-def __getattr__(name: str):
-    # Deprecation shim: single-qubit-run fusion moved into the compile
-    # pipeline (repro.qcircuit.fusion) so every backend benefits, not
-    # just this module's callers.  Old imports keep working, with a
-    # warning pointing at the new home.
-    if name == "fuse_single_qubit_gates":
-        warnings.warn(
-            f"repro.sim.statevector.{name} has moved to "
-            f"repro.qcircuit.fusion; update the import "
-            f"(see docs/performance.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import repro.qcircuit.fusion as fusion
-
-        return getattr(fusion, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 
 def control_sliced_view(
@@ -117,28 +97,6 @@ class StatevectorSimulator:
                 return
         matrix = gate_matrix(gate.name, gate.params)
         self._apply_matrix(matrix, gate.targets, gate.controls, gate.ctrl_states)
-
-    def apply_unitary(
-        self,
-        matrix: np.ndarray,
-        targets: tuple[int, ...],
-        controls: tuple[int, ...] = (),
-        ctrl_states: tuple[int, ...] = (),
-    ) -> None:
-        """Apply a raw (possibly fused) unitary to explicit qubits."""
-        dim = 2 ** len(targets)
-        if matrix.shape != (dim, dim):
-            raise SimulationError(
-                f"unitary of shape {matrix.shape} does not act on "
-                f"{len(targets)} qubit(s)"
-            )
-        self._apply_matrix(matrix, targets, controls, ctrl_states)
-
-    def apply_fused(self, fused: Sequence[FusedGate]) -> None:
-        """Apply a fused gate list (see
-        :func:`repro.qcircuit.fusion.fuse_single_qubit_gates`)."""
-        for op in fused:
-            self._apply_matrix(op.matrix, op.targets, op.controls, op.ctrl_states)
 
     def _apply_matrix(
         self,
@@ -287,10 +245,6 @@ class StatevectorSimulator:
                 raise SimulationError(f"unknown instruction {inst!r}")
         return list(self.bits)
 
-    def statevector(self) -> np.ndarray:
-        """The state as a flat 2^n vector (qubit 0 most significant)."""
-        return self.state.reshape(-1)
-
 
 def run_circuit(
     circuit: Circuit,
@@ -333,42 +287,3 @@ def run_circuit(
         # subsystem keep serving ideal runs unchanged.
         return resolved.run(circuit, shots, seed)
     return resolved.run(circuit, shots, seed, noise_model=noise_model)
-
-
-def apply_gates_to_state(
-    gates: Sequence,
-    num_qubits: int,
-    initial: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Apply a gate list to a statevector (default |0...0>).
-
-    Accepts :class:`~repro.qcircuit.circuit.CircuitGate` and
-    :class:`~repro.qcircuit.fusion.FusedUnitary` entries, so fused and
-    unfused circuits can be compared through one helper.
-    """
-    sim = StatevectorSimulator(num_qubits)
-    if initial is not None:
-        if initial.size != 2**num_qubits:
-            raise SimulationError("initial state has the wrong dimension")
-        sim.state = np.array(initial, dtype=complex).reshape((2,) * num_qubits)
-    for gate in gates:
-        if isinstance(gate, FusedUnitary):
-            sim.apply_unitary(gate.matrix, gate.targets)
-        else:
-            sim.apply_gate(gate)
-    return sim.statevector()
-
-
-def unitary_of_gates(
-    gates: Sequence, num_qubits: int
-) -> np.ndarray:
-    """The full 2^n x 2^n unitary of a gate list (small n only)."""
-    dim = 2**num_qubits
-    if num_qubits > 10:
-        raise SimulationError("unitary extraction limited to 10 qubits")
-    unitary = np.zeros((dim, dim), dtype=complex)
-    for column in range(dim):
-        basis = np.zeros(dim, dtype=complex)
-        basis[column] = 1.0
-        unitary[:, column] = apply_gates_to_state(gates, num_qubits, basis)
-    return unitary

@@ -1,15 +1,15 @@
 """Expectation values and batched parameter-grid evaluation.
 
-:func:`evaluate_grid` is the sweep engine: it simulates a *symbolic*
-circuit at ``G`` parameter points in one pass by stacking the grid into
-the leading batch axis of a ``(G, 2, …, 2)`` state tensor — the same
-layout (and the same :func:`control_sliced_view` slicing) as the
-shot-batched trajectory engine.  Fixed gates are applied once across
-the whole batch; each symbolic gate evaluates its affine angle
-expression over the grid vectorized, builds a ``(G, 2, 2)`` matrix
-stack, and contracts it in a single einsum.  Parameter-shift gradients
-(:mod:`repro.variational.gradients`) and the optimizer loop ride on
-this, so a whole VQE run touches the compiler exactly once.
+:func:`evaluate_grid` simulates a *symbolic* circuit at ``G`` parameter
+points in one pass on the batched statevector engine
+(:class:`~repro.sim.batched.BatchedStatevector`) with one row per grid
+point (B = G).  Fixed gates are applied once across the whole batch;
+each symbolic gate evaluates its affine angle expression over the grid
+vectorized and hands the engine a ``(G, 2, 2)`` matrix stack.
+:func:`exact_probabilities` is the same evolution at B = 1.
+Parameter-shift gradients (:mod:`repro.variational.gradients`) and the
+optimizer loop ride on this, so a whole VQE run touches the compiler
+exactly once.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from repro.qcircuit.circuit import (
     bind_circuit,
     circuit_parameters,
 )
-from repro.sim.kernels import apply_matrix_inplace, gate_matrix
-from repro.sim.statevector import control_sliced_view
+from repro.sim.batched import BatchedStatevector
+from repro.sim.kernels import gate_matrix
 from repro.variational.observables import DiagonalObservable
 
 #: Parameterized gates the vectorized evaluator knows how to stack.
@@ -76,16 +76,10 @@ def exact_probabilities(
     :meth:`DiagonalObservable.eigenvalues`.
     """
     bound = bind_circuit(circuit, values or {})
-    gates = _unitary_gates(bound)
-    n = max(circuit.num_qubits, 1)
-    state = np.zeros((2,) * n, dtype=complex)
-    state[(0,) * n] = 1.0
-    for gate in gates:
-        view, axes = control_sliced_view(
-            state, gate.targets, gate.controls, gate.ctrl_states
-        )
-        apply_matrix_inplace(view, gate_matrix(gate.name, gate.params), axes)
-    return np.abs(state.reshape(-1)) ** 2
+    engine = BatchedStatevector(1, circuit.num_qubits)
+    for gate in _unitary_gates(bound):
+        engine.apply_gate(gate)
+    return np.abs(engine.state.reshape(-1)) ** 2
 
 
 def expectation(
@@ -181,34 +175,21 @@ def grid_probabilities(circuit: Circuit, grid: Mapping) -> np.ndarray:
     ``grid`` maps parameter names (or ``Parameter`` objects) to
     equal-length 1-D arrays of angles in radians; point ``g`` binds
     every parameter to its ``g``-th entry.  The whole sweep runs as one
-    batched simulation over a ``(G, 2, …, 2)`` state tensor.
+    batched simulation with one engine row per grid point.
     """
     names = [p.name for p in circuit_parameters(circuit)]
     arrays, points = _grid_arrays(grid, names)
     if points == 0:
         return np.zeros((0, 2 ** circuit.num_qubits))
-    gates = _unitary_gates(circuit)
-    n = max(circuit.num_qubits, 1)
-    state = np.zeros((points,) + (2,) * n, dtype=complex)
-    state[(slice(None),) + (0,) * n] = 1.0
-    for gate in gates:
-        view, axes = control_sliced_view(
-            state, gate.targets, gate.controls, gate.ctrl_states,
-            axis_offset=1,
-        )
-        if not gate.is_symbolic:
-            # One fixed matrix broadcast across the whole batch axis.
-            apply_matrix_inplace(
-                view, gate_matrix(gate.name, gate.params), axes
-            )
-            continue
-        theta = _angles_over_grid(gate.params[0], arrays, points)
-        mats = _stacked_matrices(gate.name, theta)
-        # Bring the (sliced) target axis next to the batch axis and
-        # contract each grid point against its own 2x2 matrix.
-        moved = np.moveaxis(view, axes[0], 1)
-        moved[...] = np.einsum("gij,gj...->gi...", mats, moved)
-    return np.abs(state.reshape(points, -1)) ** 2
+    engine = BatchedStatevector(points, circuit.num_qubits)
+    for gate in _unitary_gates(circuit):
+        if gate.is_symbolic:
+            theta = _angles_over_grid(gate.params[0], arrays, points)
+            matrix = _stacked_matrices(gate.name, theta)
+        else:
+            matrix = gate_matrix(gate.name, gate.params)
+        engine.apply(matrix, gate.targets, gate.controls, gate.ctrl_states)
+    return np.abs(engine.state.reshape(points, -1)) ** 2
 
 
 def evaluate_grid(

@@ -76,7 +76,7 @@ def test_pure_state_evolution_matches_statevector():
     for gate in gates:
         sv.apply_gate(gate)
         dm.apply_gate(gate)
-    psi = sv.statevector()
+    psi = sv.state.reshape(-1)
     expected = np.outer(psi, psi.conj()).reshape((2,) * 6)
     assert np.allclose(dm.rho, expected)
     assert dm.trace() == pytest.approx(1.0)

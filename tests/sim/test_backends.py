@@ -13,9 +13,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
 from repro.sim import (
+    BatchedStatevector,
     InterpreterBackend,
     SimBackend,
-    StatevectorSimulator,
     VectorizedStatevectorBackend,
     apply_gates_to_state,
     available_backends,
@@ -45,6 +45,14 @@ def g(name, targets, controls=(), params=(), ctrl_states=(), condition=None):
         tuple(ctrl_states),
         condition,
     )
+
+
+def fused_state(fused, num_qubits):
+    """Evolve |0...0> through a fused gate list on the batched engine."""
+    engine = BatchedStatevector(1, num_qubits)
+    for op in fused:
+        engine.apply(op.matrix, op.targets, op.controls, op.ctrl_states)
+    return engine.state.reshape(-1)
 
 
 # ----------------------------------------------------------------------
@@ -173,10 +181,8 @@ def test_fusion_collapses_single_qubit_runs():
     assert len(fused) == 4
     assert np.allclose(fused[0].matrix, gate_matrix("t") @ gate_matrix("h"))
 
-    sim = StatevectorSimulator(2)
-    sim.apply_fused(fused)
     assert np.allclose(
-        sim.statevector(), apply_gates_to_state(gates, 2)
+        fused_state(fused, 2), apply_gates_to_state(gates, 2)
     )
 
 
@@ -188,9 +194,7 @@ def test_fusion_preserves_program_order_across_controls():
     ]
     fused = fuse_single_qubit_gates(gates)
     assert len(fused) == 3
-    sim = StatevectorSimulator(2)
-    sim.apply_fused(fused)
-    assert np.allclose(sim.statevector(), apply_gates_to_state(gates, 2))
+    assert np.allclose(fused_state(fused, 2), apply_gates_to_state(gates, 2))
 
 
 def test_fusion_rejects_conditioned_gates():
@@ -215,9 +219,7 @@ def test_fusion_matches_unfused_on_random_circuits(seed):
         gates.append(g(name, [qubit], params=params))
     fused = fuse_single_qubit_gates(gates)
     assert len(fused) <= len(gates)
-    sim = StatevectorSimulator(3)
-    sim.apply_fused(fused)
-    assert np.allclose(sim.statevector(), apply_gates_to_state(gates, 3))
+    assert np.allclose(fused_state(fused, 3), apply_gates_to_state(gates, 3))
 
 
 # ----------------------------------------------------------------------
@@ -353,17 +355,6 @@ def test_compile_options_sim_backend_default():
         kernel, shots=2, options=options, backend="statevector"
     )
     assert [str(b) for b in results] == ["101"] * 2
-
-
-def test_interpret_module_backend_kwarg():
-    from repro.algorithms import bernstein_vazirani
-    from repro.sim import interpret_module
-
-    result = bernstein_vazirani("1001").compile(cache=True)
-    bits = interpret_module(
-        result.qcircuit_module, num_qubits=12, backend="statevector"
-    )
-    assert bits == [1, 0, 0, 1]
 
 
 def test_kernel_call_backend_kwarg():

@@ -102,13 +102,13 @@ def test_controlled_apply_matches_reference_with_polarities(num_qubits, seed):
         matrix = random_unitary(rng, 2**k)
 
         initial = random_state(rng, num_qubits)
-        sim = StatevectorSimulator(num_qubits)
-        sim.state = initial.copy()
-        sim.apply_unitary(matrix, targets, controls, ctrl_states)
+        engine = BatchedStatevector(1, num_qubits)
+        engine.state[0] = initial
+        engine.apply(matrix, targets, controls, ctrl_states)
 
         expected = initial.copy()
         tensordot_reference(expected, matrix, targets, controls, ctrl_states)
-        assert np.allclose(sim.state, expected)
+        assert np.allclose(engine.state[0], expected)
 
 
 def test_inplace_kernel_batch_axis_rides_along():

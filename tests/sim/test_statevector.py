@@ -140,7 +140,7 @@ def test_reset():
     sim = StatevectorSimulator(1, 0)
     sim.apply_gate(g("x", [0]))
     sim.reset(0)
-    assert np.allclose(sim.statevector(), [1, 0])
+    assert np.allclose(sim.state.reshape(-1), [1, 0])
 
 
 def test_conditioned_gate():

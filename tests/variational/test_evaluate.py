@@ -1,10 +1,11 @@
 """Batched grid evaluation vs per-point evaluation — they must agree.
 
-``evaluate_grid`` stacks a whole parameter sweep into the leading axis
-of one ``(G, 2, …, 2)`` state tensor; these tests pin it to the scalar
-path (`expectation`) point by point, including controlled gates (the
-shared ``control_sliced_view`` slicing) and multi-parameter affine
-angles (the einsum path).
+``evaluate_grid`` runs a whole parameter sweep as one batch of the
+batched statevector engine, one row per grid point; these tests pin it
+to the scalar path (`expectation`, `exact_probabilities`) point by
+point, including controlled gates (the shared ``control_sliced_view``
+slicing) and multi-parameter affine angles (the engine's per-row
+matrix-stack case).
 """
 
 import numpy as np
@@ -113,6 +114,40 @@ class TestEvaluateGrid:
             assert batched[g] == pytest.approx(
                 expectation(circuit, obs, point), abs=1e-12
             )
+
+    def test_grid_probabilities_match_per_point_exact(self):
+        """Controlled symbolic gates (both polarities, two controls),
+        fixed one- and two-qubit gates and affine angles in one circuit:
+        every grid row equals that point's B = 1 evolution."""
+        circuit = Circuit(4, 0)
+        for q in range(4):
+            circuit.add(CircuitGate("h", (q,)))
+        circuit.add(
+            CircuitGate("ry", (2,), controls=(0,), ctrl_states=(0,),
+                        params=(ParamExpr.of(theta),))
+        )
+        circuit.add(CircuitGate("swap", (1, 3)))
+        circuit.add(
+            CircuitGate("rz", (3,), controls=(1, 2), ctrl_states=(1, 0),
+                        params=(0.5 * theta - phi + 0.2,))
+        )
+        circuit.add(CircuitGate("z", (1,), controls=(0,)))
+        circuit.add(CircuitGate("rx", (0,), params=(ParamExpr.of(phi),)))
+        circuit.add(CircuitGate("t", (2,)))
+        circuit.add(CircuitGate("p", (1,), controls=(3,),
+                                params=(2 * phi,)))
+        rng = np.random.default_rng(5)
+        grid = {
+            "theta": rng.uniform(-np.pi, np.pi, 13),
+            "phi": rng.uniform(-np.pi, np.pi, 13),
+        }
+        rows = grid_probabilities(circuit, grid)
+        assert rows.shape == (13, 16)
+        for g in range(13):
+            point = {name: grid[name][g] for name in grid}
+            assert np.abs(
+                rows[g] - exact_probabilities(circuit, point)
+            ).max() <= 1e-12
 
     def test_qaoa_grid(self):
         circuit, params = qaoa_maxcut_ansatz(4, [(0, 1), (1, 2), (2, 3)])
