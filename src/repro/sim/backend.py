@@ -2,9 +2,9 @@
 
 A :class:`SimBackend` turns a flat :class:`~repro.qcircuit.circuit.Circuit`
 plus a shot count into sampled output bits.  Backends are registered by
-name (:func:`register_backend`) and looked up by every execution entry
-point — ``run_circuit``, ``simulate_kernel``, ``interpret_module``, and
-the evaluation harness — so a new simulation strategy plugs in without
+name (:func:`register_backend`) and looked up by every circuit
+execution entry point — ``run_circuit``, ``simulate_kernel``, and the
+evaluation harness — so a new simulation strategy plugs in without
 touching any of them.  See docs/simulators.md for the full guide.
 
 Three backends ship in-tree:
@@ -74,9 +74,8 @@ _SWEEPS = _metrics.counter(
 )
 
 #: The one default-backend decision for the whole execution layer: every
-#: entry point — ``run_circuit``, ``run_circuit_with_info``,
-#: ``simulate_kernel`` / ``kernel()``, and ``interpret_module`` —
-#: resolves ``backend=None`` here (via :func:`get_backend`), so changing
+#: entry point — ``run_circuit``, ``run_circuit_with_info``, and
+#: ``simulate_kernel`` / ``kernel()`` — resolves ``backend=None`` here (via :func:`get_backend`), so changing
 #: this name (or registering a replacement backend under it) retargets
 #: all of them at once.
 DEFAULT_BACKEND = "statevector"

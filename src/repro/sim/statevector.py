@@ -260,8 +260,7 @@ def run_circuit(
     :mod:`repro.sim.backend` and docs/simulators.md).  ``None`` resolves
     to the one shared :data:`~repro.sim.backend.DEFAULT_BACKEND` — the
     vectorized ``"statevector"`` sampler — like every other execution
-    entry point (``simulate_kernel``, ``kernel()``,
-    ``interpret_module``).  Pass ``backend="interpreter"`` for one
+    entry point (``simulate_kernel``, ``kernel()``).  Pass ``backend="interpreter"`` for one
     independent trajectory per shot seeded ``seed + shot``,
     ``noise_model`` (a :class:`repro.noise.NoiseModel`) to execute
     under noise (docs/noise.md), and ``parallel_workers`` to shard the
