@@ -4,7 +4,10 @@ Starts the real TCP server (``python -m repro.service``) as a
 subprocess — with a deterministic 5% worker-crash fault plan injected
 through the environment — then fires a batch of concurrent compile/run
 requests over several client connections and requires that **every
-request succeeds** with the documented response shape.  Also checks
+request succeeds** with the documented response shape.  Half the
+requests are noisy, so their shot chunks run in the server's worker
+pool (a noiseless terminal-measurement run stays in the server
+process); the injected crashes hit both placements.  Also checks
 the robustness telemetry (``op: "stats"``), asks for a graceful drain
 with SIGTERM, and verifies the server exits cleanly.
 
@@ -43,10 +46,7 @@ def start_server() -> "tuple[subprocess.Popen, int]":
         ["src"] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.service",
-            "--port", "0", "--serial",
-        ],
+        [sys.executable, "-m", "repro.service", "--port", "0"],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -82,6 +82,10 @@ async def drive(port: int) -> None:
                 "seed": index,
                 "deadline": 60.0,
             }
+            if index % 2:
+                # Noisy runs take the trajectory engine and so the
+                # worker pool; noiseless ones stay in the server.
+                request["noise"] = {"depolarizing": 0.01}
             writer.write((json.dumps(request) + "\n").encode())
         await writer.drain()
         for _ in mine:

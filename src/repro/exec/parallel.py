@@ -17,7 +17,11 @@ them to a :class:`concurrent.futures.ProcessPoolExecutor` instead:
   fixed ``(seed, workers)`` pair;
 - per-chunk results concatenate in plan order and per-chunk
   :class:`~repro.sim.backend.RunInfo` telemetry merges via
-  :meth:`RunInfo.merge`, with ``workers``/``chunks`` recorded.
+  :meth:`RunInfo.merge`, with ``workers``/``chunks`` recorded;
+- a run the ``statevector`` backend serves on its terminal fast path
+  (noiseless, terminal measurements) executes the identical plan
+  in-process: each of its chunks is one statevector evolution, so a
+  pool would only repeat that evolution and add dispatch cost.
 
 Determinism contract: the output depends only on the chunk plan and
 the derived seeds — **not** on which process (or whether a process at
@@ -63,11 +67,14 @@ from repro.exec.faults import (
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.qcircuit.circuit import Circuit
+from repro.noise.model import effective_noise_model
 from repro.sim.backend import (
     DEFAULT_BACKEND,
     RunInfo,
     SimBackend,
+    VectorizedStatevectorBackend,
     get_backend,
+    terminal_measurement_plan,
 )
 from repro.sim.batched import MAX_BATCH_BYTES, batch_chunk_size
 from repro.sim.kernels import active_kernel_name, use_kernel
@@ -271,6 +278,22 @@ def recycle_pool(workers: int) -> None:
 atexit.register(shutdown_pools)
 
 
+def _runs_one_evolution(
+    circuit: Circuit, backend: SimBackend, noise_model
+) -> bool:
+    """Will ``backend`` serve every chunk on its terminal fast path?
+
+    Such a chunk is one statevector evolution plus sampling, so a pool
+    would only repeat the evolution once per chunk and add dispatch
+    cost; :func:`parallel_run_with_info` keeps these runs in-process.
+    """
+    return (
+        isinstance(backend, VectorizedStatevectorBackend)
+        and effective_noise_model(noise_model) is None
+        and terminal_measurement_plan(circuit) is not None
+    )
+
+
 def _execute_tasks(
     tasks: Sequence[_ChunkTask], workers: int, use_processes: bool
 ) -> list[tuple[list[tuple[int, ...]], RunInfo, Optional[list[dict]]]]:
@@ -329,7 +352,10 @@ def parallel_run_with_info(
     The parent's context-local apply-kernel selection is shipped along
     for the same reason.  ``use_processes=False`` executes the same
     plan in-process (bit-identical results; used by tests and the
-    broken-pool fallback).
+    broken-pool fallback).  A run the backend serves on its terminal
+    fast path always executes in-process, through the same dispatcher
+    and retry layer, so spans, counters, fault sites and ``info`` read
+    as for a pooled run.
 
     ``retry`` (a :class:`repro.exec.retry.RetryPolicy`) switches chunk
     dispatch to the fault-tolerant path: per-chunk timeouts, bounded
@@ -348,7 +374,11 @@ def parallel_run_with_info(
         resolved_backend: "str | SimBackend" = backend
     else:
         resolved_backend = backend or DEFAULT_BACKEND
-        get_backend(resolved_backend)  # fail fast on unknown names
+    # Resolving also fails fast on unknown names.
+    if _runs_one_evolution(
+        circuit, get_backend(resolved_backend), noise_model
+    ):
+        use_processes = False
     plan = chunk_plan(shots, circuit.num_qubits, workers, max_batch_bytes)
     seeds = derive_chunk_seeds(seed, len(plan))
     kernel = active_kernel_name()

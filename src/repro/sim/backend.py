@@ -567,10 +567,11 @@ def run_circuit_with_info(
     core).  Leave it ``None`` for the legacy single-process seed
     convention; any explicit value — including ``1`` — selects the
     sharded convention, so ``workers=1`` and ``workers=4`` runs are
-    comparable.  Best for trajectory workloads (mid-circuit
-    measurement or noise); the terminal-measurement fast path already
-    makes shots near-free in one process, and sharding it repeats the
-    one evolution per chunk.
+    comparable.  Only trajectory workloads (mid-circuit measurement
+    or noise, or the ``interpreter`` backend) reach the pool; a
+    terminal-measurement run on the ``statevector`` backend executes
+    the same chunk plan in-process, since each chunk is one evolution
+    and sharding would only repeat it.
     """
     if parallel_workers is not None:
         from repro.exec.parallel import parallel_run_with_info

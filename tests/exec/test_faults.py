@@ -42,6 +42,7 @@ from repro.exec.retry import (
     execute_with_retry,
 )
 from repro.pipeline import compile_kernel
+from repro.qcircuit import teleport_circuit
 
 
 @pytest.fixture(autouse=True)
@@ -243,7 +244,7 @@ def test_hang_recovery_is_bit_identical_and_bounded():
 
 @pytest.mark.slow
 def test_pooled_exit_crash_recovery_is_bit_identical():
-    circuit = _circuit()
+    circuit = teleport_circuit()  # trajectory run: reaches the pool
     clean, _ = parallel_run_with_info(
         circuit, 96, seed=5, workers=2, use_processes=True,
     )
@@ -349,7 +350,7 @@ def test_pool_startup_failure_degrades_to_serial(monkeypatch):
         raise OSError("no process spawning here")
 
     monkeypatch.setattr(parallel_mod, "_get_pool", no_pool)
-    circuit = _circuit()
+    circuit = teleport_circuit()  # trajectory run: asks for the pool
     clean = parallel_run_with_info(
         circuit, 64, seed=5, workers=2, use_processes=False
     )[0]
@@ -370,11 +371,42 @@ def test_genuine_pool_dispatch_errors_propagate(monkeypatch):
     monkeypatch.setattr(
         parallel_mod, "_get_pool", lambda workers: AngryPool()
     )
-    circuit = _circuit()
+    circuit = teleport_circuit()  # trajectory run: reaches the pool
     with pytest.raises(RuntimeError, match="genuine dispatch bug"):
         parallel_run_with_info(
             circuit, 64, seed=5, workers=2, use_processes=True
         )
+
+
+def test_fast_path_runs_stay_in_process(monkeypatch):
+    # A noiseless terminal-measurement run is one evolution per chunk:
+    # it runs the same plan in-process, never asking for a pool, and
+    # still goes through the retry layer's fault sites.
+    def no_pool(workers):
+        raise AssertionError("a fast-path run asked for the pool")
+
+    monkeypatch.setattr(parallel_mod, "_get_pool", no_pool)
+    circuit = _circuit()
+    serial, serial_info = parallel_run_with_info(
+        circuit, 96, seed=5, workers=2, use_processes=False
+    )
+    pooled, pooled_info = parallel_run_with_info(
+        circuit, 96, seed=5, workers=2, use_processes=True
+    )
+    assert pooled == serial
+    assert (pooled_info.workers, pooled_info.chunks) == (
+        serial_info.workers, serial_info.chunks,
+    )
+    assert pooled_info.chunks >= 2
+    plan_seed = _crash_seed(circuit, 96, 5, 2)
+    with inject_faults(worker_crash=0.5, seed=plan_seed):
+        chaos, info = parallel_run_with_info(
+            circuit, 96, seed=5, workers=2, use_processes=True,
+            retry=RetryPolicy(),
+        )
+    assert chaos == serial
+    assert info.retries >= 1
+    assert not info.degraded
 
 
 def test_runinfo_merge_tolerates_old_pickles_missing_counters():

@@ -16,10 +16,9 @@ import json
 import os
 import threading
 
-from repro.algorithms import alternating_secret, bernstein_vazirani
 from repro.exec.parallel import parallel_run_with_info
 from repro.obs import trace
-from repro.pipeline import compile_kernel
+from repro.qcircuit import teleport_circuit
 
 
 def test_span_nesting_records_parent_and_trace_ids():
@@ -112,9 +111,7 @@ def test_thread_contexts_are_isolated_unless_attached():
 
 def test_spawn_workers_ship_spans_back_into_one_trace(monkeypatch):
     monkeypatch.setenv("REPRO_PARALLEL_START_METHOD", "spawn")
-    circuit = compile_kernel(
-        bernstein_vazirani(alternating_secret(5))
-    ).execution_circuit
+    circuit = teleport_circuit()  # trajectory run: reaches the pool
     trace.enable_tracing()
     try:
         tracer = trace.get_tracer()
