@@ -233,7 +233,9 @@ class QpuKernel:
         for param, capture in zip(self.kernel_ast.params, captures):
             self.captures[param.name] = capture
         self.bound_dims = dict(bound_dims or {})
-        self._compiled = None
+        # The compile-cache key, filled in on first use
+        # (repro.pipeline._kernel_key).
+        self._cache_key: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     def __getitem__(self, item) -> "QpuKernel":

@@ -492,6 +492,24 @@ def _kernel_fingerprint(kernel) -> tuple:
     )
 
 
+def _kernel_key(kernel) -> tuple:
+    """``(fingerprint, sorted dims)`` of ``kernel``, computed on first
+    use and kept on the kernel object.
+
+    The kernel parsed its source into ``kernel_ast`` when it was built,
+    so the key frozen here describes what the kernel compiles even if
+    its file changes later.  ``kernel[...]`` builds a new kernel object,
+    so a clone computes its own key.
+    """
+    key = kernel._cache_key
+    if key is None:
+        key = kernel._cache_key = (
+            _kernel_fingerprint(kernel),
+            tuple(sorted(kernel.infer_dims().items())),
+        )
+    return key
+
+
 def compile_kernel(
     kernel,
     options: Optional[CompileOptions] = None,
@@ -550,8 +568,7 @@ def _compile_kernel_impl(
         # they only affect execution, so the same compiled artifact
         # serves every backend, noise, and sharding configuration.
         cache_key = (
-            _kernel_fingerprint(kernel),
-            tuple(sorted(kernel.infer_dims().items())),
+            *_kernel_key(kernel),
             dataclasses.replace(
                 options,
                 sim_backend=None,

@@ -41,6 +41,7 @@ are invisible is a service whose failure modes are unhandled.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import threading
 import time
@@ -103,6 +104,11 @@ _LATENCY = obs_metrics.histogram(
     "End-to-end run-request latency, admission to completion",
     labels=("service",),
 )
+
+#: Named kernels (``"kernel"`` + ``"n"``) each service keeps built.  A
+#: kept kernel also keeps its compile-cache key (computed once per
+#: kernel object), so a warm request neither rebuilds nor re-reads it.
+NAMED_KERNEL_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -171,6 +177,9 @@ class ExecutionService:
         self._consecutive_degraded = 0
         self._serial_mode = False
         self._label = str(next(_INSTANCE_SEQ))
+        self._named_kernel = functools.lru_cache(
+            maxsize=NAMED_KERNEL_CACHE_SIZE
+        )(_build_named_kernel)
 
     # ------------------------------------------------------------------
     # Counting (one substrate: the repro.obs.metrics registry).
@@ -464,7 +473,7 @@ class ExecutionService:
         try:
             if plan_scope is not None:
                 plan_scope.__enter__()
-            kernel = _resolve_kernel(request)
+            kernel = _resolve_kernel(request, self._named_kernel)
             # An unknown preset raises PassPipelineError (QW301), which
             # already renders as a structured coded response downstream.
             compiled = compile_kernel(
@@ -574,11 +583,20 @@ class ExecutionService:
 # ----------------------------------------------------------------------
 # Request -> kernel / noise resolution.
 # ----------------------------------------------------------------------
-def _resolve_kernel(request: protocol.RunRequest):
+def _build_named_kernel(name: str, n: int):
+    from repro.evaluation import asdf_kernel
+
+    return asdf_kernel(name, n)
+
+
+def _resolve_kernel(request: protocol.RunRequest, named_kernel):
+    """The request's ``@qpu`` kernel.  A named kernel comes from
+    ``named_kernel(name, n)`` (the service's memoized builder); a
+    ``source`` kernel is executed afresh on every request."""
     import hashlib
     import linecache
 
-    from repro.evaluation import ALGORITHMS, asdf_kernel
+    from repro.evaluation import ALGORITHMS
     from repro.frontend.decorators import QpuKernel
 
     if request.kernel is not None:
@@ -587,7 +605,7 @@ def _resolve_kernel(request: protocol.RunRequest):
                 f"unknown kernel {request.kernel!r} (known algorithms: "
                 f"{', '.join(ALGORITHMS)}; or send 'source')"
             )
-        return asdf_kernel(request.kernel, request.n)
+        return named_kernel(request.kernel, request.n)
     namespace: dict = {}
     exec("from repro import *", namespace)  # noqa: S102 — trusted tier
     # The frontend reparses kernels with inspect.getsource, which for

@@ -7,10 +7,15 @@ from repro import CompileOptions, clear_compile_cache
 # Import the decorators from their defining module: the ``classical``
 # attribute of the ``repro`` package is shadowed by the
 # ``repro.classical`` submodule once anything imports the latter.
-from repro.frontend.decorators import N, bit, cfunc, classical, qpu
+from repro.frontend.decorators import I, N, bit, cfunc, classical, qpu
 from repro.algorithms import alternating_secret, bernstein_vazirani, grover
 from repro.errors import PassPipelineError
-from repro.pipeline import PRESETS, compile_cache_info, compile_kernel
+from repro.pipeline import (
+    PRESETS,
+    _kernel_key,
+    compile_cache_info,
+    compile_kernel,
+)
 
 
 def bv_kernel(n=6):
@@ -111,6 +116,51 @@ def test_cache_hit_across_equivalent_kernel_objects():
     first = bv_kernel().compile(pipeline="default", cache=True)
     second = bv_kernel().compile(pipeline="default", cache=True)
     assert first is second
+
+
+def test_cache_key_is_computed_once_per_kernel_object(monkeypatch):
+    import repro.pipeline
+
+    clear_compile_cache()
+    kernel = bv_kernel()
+    first = kernel.compile(pipeline="default", cache=True)
+
+    def no_recompute(kernel):
+        raise AssertionError("the cache key was recomputed")
+
+    monkeypatch.setattr(repro.pipeline, "_kernel_fingerprint", no_recompute)
+    assert kernel.compile(pipeline="default", cache=True) is first
+
+
+def test_cache_keys_differ_for_different_secrets():
+    one = bernstein_vazirani("1010")
+    other = bernstein_vazirani("0110")
+    assert _kernel_key(one) != _kernel_key(other)
+    assert one.compile(cache=True) is not other.compile(cache=True)
+
+
+def test_kernel_clones_get_their_own_cache_key():
+    @classical[N]
+    def oracle(x: bit[N]) -> bit:
+        return x.and_reduce()
+
+    @qpu[N, I](oracle)
+    def search(oracle: cfunc[N, 1]) -> bit[N]:
+        q = 'p'[N]  # noqa
+        for _ in range(I):
+            q = q | oracle.sign | {'p'[N]} >> {-'p'[N]}  # noqa
+        return q | std[N].measure  # noqa
+
+    three = search[3, 1]
+    key = _kernel_key(three)
+    assert key[1] == (("I", 1), ("N", 3))
+    assert _kernel_key(search[4, 1])[1] == (("I", 1), ("N", 4))
+    assert _kernel_key(search[3, 2])[1] == (("I", 2), ("N", 3))
+    assert _kernel_key(search[3, 2])[0] == key[0]  # same source
+    clone = three[()]
+    assert clone._cache_key is None  # not inherited from `three`
+    assert _kernel_key(clone) == key
+    assert search[4, 1].compile(cache=True) is not three.compile(cache=True)
 
 
 def test_cache_distinguishes_same_named_kernels_with_other_captures():

@@ -116,6 +116,34 @@ def test_repeat_requests_hit_the_compile_cache():
     assert second["result"]["info"]["compile_cache"] == "memory"
 
 
+def test_named_kernels_are_built_once_per_kernel_and_n(monkeypatch):
+    import repro.evaluation
+
+    built = []
+    build = repro.evaluation.asdf_kernel
+
+    def counting(name, n):
+        built.append((name, n))
+        return build(name, n)
+
+    monkeypatch.setattr(repro.evaluation, "asdf_kernel", counting)
+
+    async def scenario():
+        async with ExecutionService(make_config()) as service:
+            client = ServiceClient(service)
+            requests = [("bv", 4), ("bv", 5), ("bv", 4), ("dj", 4),
+                        ("bv", 5), ("bv", 4)]
+            return [
+                await client.run(id=i, kernel=k, n=n, shots=16, seed=i)
+                for i, (k, n) in enumerate(requests)
+            ]
+
+    responses = run_async(scenario())
+    assert all(response["ok"] for response in responses), responses
+    assert sorted(built) == [("bv", 4), ("bv", 5), ("dj", 4)]
+    assert responses[-1]["result"]["info"]["compile_cache"] == "memory"
+
+
 def test_source_kernels_compile_and_run():
     source = (
         "from repro import qpu\n"
