@@ -39,6 +39,7 @@ docs/service.md says so explicitly.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
@@ -207,9 +208,12 @@ def encode_response(response: Mapping[str, Any]) -> bytes:
 
 
 def counts_of(results) -> dict[str, int]:
-    """Sampled bit tuples -> {"0101": count} histogram for the wire."""
-    counts: dict[str, int] = {}
-    for outcome in results:
-        key = "".join(str(int(b)) for b in outcome)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    """Sampled bit tuples -> {"0101": count} histogram for the wire.
+
+    Keys appear in first-occurrence order; each distinct outcome is
+    formatted once.
+    """
+    return {
+        "".join(map(str, outcome)): count
+        for outcome, count in Counter(results).items()
+    }

@@ -495,7 +495,7 @@ def sample_measurement_probabilities(
     for meas in plan:
         bits[:, meas.bit] = (outcomes >> (width - 1 - pos[meas.qubit])) & 1
     selected = bits[:, output]
-    return [tuple(int(b) for b in row) for row in selected]
+    return list(map(tuple, selected.tolist()))
 
 
 # ----------------------------------------------------------------------

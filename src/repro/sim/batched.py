@@ -424,9 +424,7 @@ def batched_run(
             bits = engine.run(circuit, noise_model=noise_model, stats=stats)
         _SWEEPS.inc(engine="batched")
         selected = bits[:, output]
-        results.extend(
-            tuple(int(bit) for bit in row) for row in selected
-        )
+        results.extend(map(tuple, selected.tolist()))
         sweeps += 1
         done += size
     return results, sweeps
