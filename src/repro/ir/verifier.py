@@ -1,4 +1,4 @@
-"""IR verification: SSA dominance, linear qubit use, per-op invariants.
+"""IR verification: SSA dominance and linear qubit use.
 
 The Qwerty type checker enforces linear types for qubits at the AST
 level (paper §4); the verifier re-checks the same property in the IR,
@@ -7,20 +7,14 @@ where it reads: every value of quantum type is used exactly once.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.ir.core import Block, Operation, Value
 from repro.ir.module import FuncOp, ModuleOp
-from repro.errors import IRVerificationError, QwertyError
-
-#: Per-op verifiers registered by dialects, keyed by op name.
-OP_VERIFIERS: dict[str, Callable[[Operation], None]] = {}
+from repro.errors import IRVerificationError
 
 #: Op names that terminate a function body and return values.
 RETURN_OPS = {"func.return", "scf.yield"}
 
-#: Op names whose results or operands are exempt from strict linearity
-#: (e.g. classical values may be used many times or not at all).
+
 def _is_linear(value: Value) -> bool:
     return value.type.is_quantum
 
@@ -41,14 +35,6 @@ def _verify_block(block: Block, visible: set[int]) -> None:
         for region in op.regions:
             for inner in region.blocks:
                 _verify_block(inner, defined)
-        verifier = OP_VERIFIERS.get(op.name)
-        if verifier is not None:
-            try:
-                verifier(op)
-            except QwertyError as error:
-                # Dialect verifiers need not thread locations; the
-                # walker knows which op failed.
-                raise error.attach_span(op.loc)
 
 
 def _branch_path(op: Operation) -> tuple[tuple[int, int], ...]:
