@@ -64,10 +64,10 @@ from repro.exec.faults import (
     active_fault_plan,
     maybe_inject_chunk_fault,
 )
+from repro.noise.model import effective_noise_model
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.qcircuit.circuit import Circuit
-from repro.noise.model import effective_noise_model
 from repro.sim.backend import (
     DEFAULT_BACKEND,
     RunInfo,

@@ -177,9 +177,11 @@ class ExecutionService:
         self._consecutive_degraded = 0
         self._serial_mode = False
         self._label = str(next(_INSTANCE_SEQ))
+        from repro.evaluation import asdf_kernel
+
         self._named_kernel = functools.lru_cache(
             maxsize=NAMED_KERNEL_CACHE_SIZE
-        )(_build_named_kernel)
+        )(asdf_kernel)
 
     # ------------------------------------------------------------------
     # Counting (one substrate: the repro.obs.metrics registry).
@@ -583,12 +585,6 @@ class ExecutionService:
 # ----------------------------------------------------------------------
 # Request -> kernel / noise resolution.
 # ----------------------------------------------------------------------
-def _build_named_kernel(name: str, n: int):
-    from repro.evaluation import asdf_kernel
-
-    return asdf_kernel(name, n)
-
-
 def _resolve_kernel(request: protocol.RunRequest, named_kernel):
     """The request's ``@qpu`` kernel.  A named kernel comes from
     ``named_kernel(name, n)`` (the service's memoized builder); a

@@ -146,10 +146,10 @@ def test_kernel_clones_get_their_own_cache_key():
 
     @qpu[N, I](oracle)
     def search(oracle: cfunc[N, 1]) -> bit[N]:
-        q = 'p'[N]  # noqa
+        q = 'p'[N]
         for _ in range(I):
-            q = q | oracle.sign | {'p'[N]} >> {-'p'[N]}  # noqa
-        return q | std[N].measure  # noqa
+            q = q | oracle.sign | {'p'[N]} >> {-'p'[N]}
+        return q | std[N].measure
 
     three = search[3, 1]
     key = _kernel_key(three)
