@@ -19,9 +19,8 @@ them to a :class:`concurrent.futures.ProcessPoolExecutor` instead:
   :class:`~repro.sim.backend.RunInfo` telemetry merges via
   :meth:`RunInfo.merge`, with ``workers``/``chunks`` recorded;
 - a run the ``statevector`` backend serves on its terminal fast path
-  (noiseless, terminal measurements) executes the identical plan
-  in-process: each of its chunks is one statevector evolution, so a
-  pool would only repeat that evolution and add dispatch cost.
+  evolves once and samples its chunks in-process (see
+  :func:`parallel_run_with_info`).
 
 Determinism contract: the output depends only on the chunk plan and
 the derived seeds — **not** on which process (or whether a process at
@@ -53,7 +52,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,17 +63,16 @@ from repro.exec.faults import (
     active_fault_plan,
     maybe_inject_chunk_fault,
 )
-from repro.noise.model import effective_noise_model
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.qcircuit.circuit import Circuit
 from repro.sim.backend import (
     DEFAULT_BACKEND,
+    MeasurementSampler,
     RunInfo,
     SimBackend,
     VectorizedStatevectorBackend,
     get_backend,
-    terminal_measurement_plan,
 )
 from repro.sim.batched import MAX_BATCH_BYTES, batch_chunk_size
 from repro.sim.kernels import active_kernel_name, use_kernel
@@ -161,7 +159,9 @@ class _ChunkTask:
     — the *data* seed never changes across attempts, which is what
     makes retried runs bit-identical to fault-free ones.  ``trace``
     ships the dispatcher's span context the same way, so worker-side
-    ``exec.chunk`` spans stitch into the parent trace.
+    ``exec.chunk`` spans stitch into the parent trace.  ``sampler`` is
+    set on the chunks of a fast-path run: the chunk draws its shots
+    from the dispatcher's one evolution instead of running the backend.
     """
 
     circuit: Circuit
@@ -173,16 +173,20 @@ class _ChunkTask:
     faults: Optional[FaultPlan] = None
     attempt: int = 0
     trace: Optional[_trace.TraceContext] = None
+    sampler: Optional[MeasurementSampler] = None
 
 
 def _run_chunk_body(
     task: _ChunkTask,
-) -> tuple[list[tuple[int, ...]], RunInfo]:
+) -> tuple[list[tuple[int, ...]], Optional[RunInfo]]:
     with _trace.span(
         "exec.chunk",
         shots=task.shots, seed=task.seed, attempt=task.attempt,
     ):
         maybe_inject_chunk_fault(task.faults, task.seed, task.attempt)
+        if task.sampler is not None:
+            rng = np.random.default_rng(task.seed)
+            return task.sampler.draw(task.shots, rng), None
         backend = get_backend(task.backend)
         with use_kernel(task.kernel):
             if task.noise_model is None:
@@ -199,10 +203,12 @@ def _run_chunk_body(
 
 def _run_chunk(
     task: _ChunkTask,
-) -> tuple[list[tuple[int, ...]], RunInfo, Optional[list[dict]]]:
+) -> tuple[list[tuple[int, ...]], Optional[RunInfo], Optional[list[dict]]]:
     """Worker entry point: one chunk, no ambient state consulted.
 
-    Returns ``(results, info, spans)``.  ``spans`` is non-``None`` only
+    Returns ``(results, info, spans)``; ``info`` is ``None`` for a
+    sampled fast-path chunk, whose run records its one evolution.
+    ``spans`` is non-``None`` only
     when this runs *in a pool worker* under a shipped trace context: a
     worker cannot append to the parent's tracer, so it records into a
     throwaway local one (:func:`repro.obs.trace.recording`) and ships
@@ -278,25 +284,11 @@ def recycle_pool(workers: int) -> None:
 atexit.register(shutdown_pools)
 
 
-def _runs_one_evolution(
-    circuit: Circuit, backend: SimBackend, noise_model
-) -> bool:
-    """Will ``backend`` serve every chunk on its terminal fast path?
-
-    Such a chunk is one statevector evolution plus sampling, so a pool
-    would only repeat the evolution once per chunk and add dispatch
-    cost; :func:`parallel_run_with_info` keeps these runs in-process.
-    """
-    return (
-        isinstance(backend, VectorizedStatevectorBackend)
-        and effective_noise_model(noise_model) is None
-        and terminal_measurement_plan(circuit) is not None
-    )
-
-
 def _execute_tasks(
     tasks: Sequence[_ChunkTask], workers: int, use_processes: bool
-) -> list[tuple[list[tuple[int, ...]], RunInfo, Optional[list[dict]]]]:
+) -> list[
+    tuple[list[tuple[int, ...]], Optional[RunInfo], Optional[list[dict]]]
+]:
     """Run the chunk tasks, preserving plan order.
 
     One worker, one chunk, or ``use_processes=False`` stays in-process.
@@ -352,10 +344,21 @@ def parallel_run_with_info(
     The parent's context-local apply-kernel selection is shipped along
     for the same reason.  ``use_processes=False`` executes the same
     plan in-process (bit-identical results; used by tests and the
-    broken-pool fallback).  A run the backend serves on its terminal
-    fast path always executes in-process, through the same dispatcher
-    and retry layer, so spans, counters, fault sites and ``info`` read
-    as for a pooled run.
+    broken-pool fallback).
+
+    Placement rule: a run the ``statevector`` backend serves on its
+    terminal fast path
+    (:meth:`~repro.sim.backend.VectorizedStatevectorBackend.fast_path_plan`:
+    noiseless, terminal measurements) evolves its state **once**, here
+    in the dispatcher.  Each chunk of the same plan then draws its
+    shots from that one distribution with its own derived seed,
+    in-process — a draw is far cheaper than shipping the distribution
+    to a worker.  A chunk run on its own would evolve the same state
+    and draw the same bits, so the output is unchanged, and the chunks
+    keep their fault sites, retries, cancel checks between chunks,
+    ``exec.chunk`` spans and counters.  ``info`` records the one
+    evolution with the plan's ``workers``/``chunks``.  Every other run
+    (trajectory, noisy, other backends) keeps the pool.
 
     ``retry`` (a :class:`repro.exec.retry.RetryPolicy`) switches chunk
     dispatch to the fault-tolerant path: per-chunk timeouts, bounded
@@ -375,10 +378,12 @@ def parallel_run_with_info(
     else:
         resolved_backend = backend or DEFAULT_BACKEND
     # Resolving also fails fast on unknown names.
-    if _runs_one_evolution(
-        circuit, get_backend(resolved_backend), noise_model
-    ):
-        use_processes = False
+    backend_impl = get_backend(resolved_backend)
+    fast_plan = (
+        backend_impl.fast_path_plan(circuit, noise_model)
+        if isinstance(backend_impl, VectorizedStatevectorBackend)
+        else None
+    )
     plan = chunk_plan(shots, circuit.num_qubits, workers, max_batch_bytes)
     seeds = derive_chunk_seeds(seed, len(plan))
     kernel = active_kernel_name()
@@ -387,12 +392,22 @@ def parallel_run_with_info(
         "exec.dispatch",
         shots=shots, chunks=len(plan), workers=workers,
     ) as dispatch_span:
+        sampler = evolution = None
+        if fast_plan is not None:
+            use_processes = False
+            with _trace.span(
+                "sim.sweep", engine="fast-path",
+                shots=shots, qubits=circuit.num_qubits,
+            ):
+                sampler, evolution = backend_impl.evolve_terminal(
+                    circuit, fast_plan
+                )
         trace_ctx = _trace.current_context()
         tasks = [
             _ChunkTask(
                 circuit, chunk_shots, chunk_seed,
                 resolved_backend, kernel, noise_model, fault_plan,
-                trace=trace_ctx,
+                trace=trace_ctx, sampler=sampler,
             )
             for chunk_shots, chunk_seed in zip(plan, seeds)
         ]
@@ -410,7 +425,7 @@ def parallel_run_with_info(
         else:
             outcomes = _execute_tasks(tasks, workers, use_processes)
         results: list[tuple[int, ...]] = []
-        infos: list[RunInfo] = []
+        infos: list[Optional[RunInfo]] = []
         for chunk_results, chunk_info, chunk_spans in outcomes:
             results.extend(chunk_results)
             infos.append(chunk_info)
@@ -419,11 +434,14 @@ def parallel_run_with_info(
             dispatch_span.set(
                 retries=telemetry.retries, degraded=telemetry.degraded
             )
-    merged = RunInfo.merge(infos, workers=workers)
+    if evolution is None:
+        merged = RunInfo.merge(infos, workers=workers)
+    else:
+        merged = replace(
+            evolution, shots=shots, workers=workers, chunks=len(plan)
+        )
     if telemetry is not None:
-        import dataclasses
-
-        merged = dataclasses.replace(
+        merged = replace(
             merged,
             retries=telemetry.retries,
             faults_injected=telemetry.faults_injected,

@@ -46,7 +46,7 @@ bit ``(x >> (n - 1 - q)) & 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -386,6 +386,57 @@ class VectorizedStatevectorBackend(SimBackend):
 
     name = "statevector"
 
+    @staticmethod
+    def fast_path_plan(
+        circuit: Circuit, noise_model=None
+    ) -> Optional[list[Measurement]]:
+        """The measurement plan if this backend serves ``circuit`` on its
+        terminal fast path (one evolution, all shots sampled), else
+        ``None``.
+
+        The fast path needs a noiseless run (per-shot Kraus draws rule
+        out a shared evolution) of a terminal-measurement circuit.  The
+        parallel executor asks the same question to place a run.
+        """
+        from repro.noise.model import effective_noise_model
+
+        if effective_noise_model(noise_model) is not None:
+            return None
+        return terminal_measurement_plan(circuit)
+
+    def evolve_terminal(
+        self, circuit: Circuit, plan: Sequence[Measurement]
+    ) -> "tuple[MeasurementSampler, RunInfo]":
+        """The fast path's one evolution: a sampler over |psi|^2 and the
+        evolution's :class:`RunInfo` (``shots=0``; a caller fills in the
+        shots it draws).
+        """
+        # The unitary prefix may mix plain gates with FusedUnitary
+        # blocks from the compile-time fusion pass; both fuse into the
+        # evolution step list (single-qubit runs still collapse here).
+        prefix = [
+            inst
+            for inst in circuit.instructions
+            if isinstance(inst, (CircuitGate, FusedUnitary))
+        ]
+        fused = fuse_single_qubit_gates(prefix)
+        engine = BatchedStatevector(1, circuit.num_qubits)
+        for op in fused:
+            engine.apply(op.matrix, op.targets, op.controls, op.ctrl_states)
+        sampler = MeasurementSampler.prepare(
+            np.abs(engine.state[0]) ** 2, circuit, plan
+        )
+        _SWEEPS.inc(engine="fast-path")
+        return sampler, RunInfo(
+            self.name,
+            0,
+            evolutions=1,
+            fast_path=True,
+            fused_ops=len(fused),
+            gates_fused=fused_gate_savings(circuit),
+            kernel=active_kernel_name(),
+        )
+
     def run_with_info(
         self,
         circuit: Circuit,
@@ -395,12 +446,7 @@ class VectorizedStatevectorBackend(SimBackend):
     ) -> tuple[list[tuple[int, ...]], RunInfo]:
         from repro.noise.model import NoiseStats, effective_noise_model
 
-        noise_model = effective_noise_model(noise_model)
-        plan = (
-            terminal_measurement_plan(circuit)
-            if noise_model is None
-            else None
-        )
+        plan = self.fast_path_plan(circuit, noise_model)
         if plan is None:
             # Non-terminal circuit (or a noisy run, where each shot's
             # Kraus draws differ): evolve all shots simultaneously on
@@ -408,7 +454,11 @@ class VectorizedStatevectorBackend(SimBackend):
             # than one Python evolution per shot.
             stats = NoiseStats()
             results, sweeps = batched_run(
-                circuit, shots, seed, noise_model=noise_model, stats=stats
+                circuit,
+                shots,
+                seed,
+                noise_model=effective_noise_model(noise_model),
+                stats=stats,
             )
             return results, RunInfo(
                 self.name,
@@ -422,36 +472,84 @@ class VectorizedStatevectorBackend(SimBackend):
                 kernel=active_kernel_name(),
             )
 
-        # The unitary prefix may mix plain gates with FusedUnitary
-        # blocks from the compile-time fusion pass; both fuse into the
-        # evolution step list (single-qubit runs still collapse here).
-        prefix = [
-            inst
-            for inst in circuit.instructions
-            if isinstance(inst, (CircuitGate, FusedUnitary))
-        ]
-        fused = fuse_single_qubit_gates(prefix)
         with _trace.span(
             "sim.sweep",
             engine="fast-path", shots=shots, qubits=circuit.num_qubits,
         ):
-            engine = BatchedStatevector(1, circuit.num_qubits)
-            for op in fused:
-                engine.apply(op.matrix, op.targets, op.controls, op.ctrl_states)
-            results = sample_measurement_probabilities(
-                np.abs(engine.state[0]) ** 2, circuit, plan, shots,
-                np.random.default_rng(seed),
-            )
-        _SWEEPS.inc(engine="fast-path")
-        return results, RunInfo(
-            self.name,
-            shots,
-            evolutions=1,
-            fast_path=True,
-            fused_ops=len(fused),
-            gates_fused=fused_gate_savings(circuit),
-            kernel=active_kernel_name(),
+            sampler, info = self.evolve_terminal(circuit, plan)
+            results = sampler.draw(shots, np.random.default_rng(seed))
+        return results, replace(info, shots=shots)
+
+
+@dataclass(frozen=True)
+class MeasurementSampler:
+    """Draws a circuit's terminal measurements from one distribution.
+
+    :meth:`prepare` does the per-distribution work once (marginalize the
+    unmeasured qubits, renormalize); :meth:`draw` then samples any
+    number of shots.  Drawing ``k`` shots with ``default_rng(seed)``
+    gives the same bits whether the sampler was prepared for this draw
+    or shared by many, which is what lets a sharded fast-path run
+    evolve once and sample each chunk with its own seed.
+    """
+
+    probabilities: Optional[np.ndarray]
+    plan: tuple[Measurement, ...]
+    num_bits: int
+    output: tuple[int, ...]
+    positions: dict[int, int]
+
+    @classmethod
+    def prepare(
+        cls,
+        probabilities: np.ndarray,
+        circuit: Circuit,
+        plan: Sequence[Measurement],
+    ) -> "MeasurementSampler":
+        """``probabilities`` is a computational-basis probability tensor
+        (one axis per qubit)."""
+        output = tuple(circuit.output_bits or range(circuit.num_bits))
+        if not plan:
+            # Nothing measured: the classical register stays all-zero.
+            return cls(None, (), circuit.num_bits, output, {})
+        measured = sorted({m.qubit for m in plan})
+        unmeasured = tuple(
+            axis
+            for axis in range(circuit.num_qubits)
+            if axis not in measured
         )
+        if unmeasured:
+            probabilities = probabilities.sum(axis=unmeasured)
+        probabilities = probabilities.reshape(-1)
+        # Guard against float drift; choice() requires an exact simplex.
+        probabilities = probabilities / probabilities.sum()
+        # Marginal axis order is sorted qubit order, so the outcome's
+        # bit for qubit q sits at position positions[q] from the left
+        # (the same most-significant-first convention as full
+        # basis-state indices).
+        return cls(
+            probabilities,
+            tuple(plan),
+            circuit.num_bits,
+            output,
+            {qubit: i for i, qubit in enumerate(measured)},
+        )
+
+    def draw(
+        self, shots: int, rng: np.random.Generator
+    ) -> list[tuple[int, ...]]:
+        if self.probabilities is None:
+            return [(0,) * len(self.output)] * shots
+        outcomes = rng.choice(
+            self.probabilities.size, size=shots, p=self.probabilities
+        )
+        width = len(self.positions)
+        bits = np.zeros((shots, self.num_bits), dtype=np.int64)
+        for meas in self.plan:
+            shift = width - 1 - self.positions[meas.qubit]
+            bits[:, meas.bit] = (outcomes >> shift) & 1
+        selected = bits[:, list(self.output)]
+        return list(map(tuple, selected.tolist()))
 
 
 def sample_measurement_probabilities(
@@ -464,38 +562,15 @@ def sample_measurement_probabilities(
     """Draw ``shots`` samples of the plan's measurements from a
     computational-basis probability tensor (one axis per qubit).
 
-    Shared by the vectorized statevector backend (which passes
-    |psi|^2) and the exact density-matrix backend (which passes the
-    diagonal of rho) — one sampling path, one seed convention, so the
-    two backends' zero-noise histograms match exactly.
+    Shared by the vectorized statevector backend (through
+    :class:`MeasurementSampler`, which passes |psi|^2) and the exact
+    density-matrix backend (which passes the diagonal of rho) — one
+    sampling path, one seed convention, so the two backends' zero-noise
+    histograms match exactly.
     """
-    output = list(circuit.output_bits or range(circuit.num_bits))
-    if not plan:
-        # Nothing measured: the classical register stays all-zero.
-        return [(0,) * len(output)] * shots
-
-    measured = sorted({m.qubit for m in plan})
-    unmeasured = tuple(
-        axis for axis in range(circuit.num_qubits) if axis not in measured
+    return MeasurementSampler.prepare(probabilities, circuit, plan).draw(
+        shots, rng
     )
-    if unmeasured:
-        probabilities = probabilities.sum(axis=unmeasured)
-    probabilities = probabilities.reshape(-1)
-    # Guard against float drift; choice() requires an exact simplex.
-    probabilities = probabilities / probabilities.sum()
-
-    outcomes = rng.choice(probabilities.size, size=shots, p=probabilities)
-
-    # Marginal axis order is sorted qubit order, so the outcome's bit
-    # for qubit q sits at position pos[q] from the left (the same
-    # most-significant-first convention as full basis-state indices).
-    pos = {qubit: i for i, qubit in enumerate(measured)}
-    width = len(measured)
-    bits = np.zeros((shots, circuit.num_bits), dtype=np.int64)
-    for meas in plan:
-        bits[:, meas.bit] = (outcomes >> (width - 1 - pos[meas.qubit])) & 1
-    selected = bits[:, output]
-    return list(map(tuple, selected.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -567,11 +642,10 @@ def run_circuit_with_info(
     core).  Leave it ``None`` for the legacy single-process seed
     convention; any explicit value — including ``1`` — selects the
     sharded convention, so ``workers=1`` and ``workers=4`` runs are
-    comparable.  Only trajectory workloads (mid-circuit measurement
-    or noise, or the ``interpreter`` backend) reach the pool; a
-    terminal-measurement run on the ``statevector`` backend executes
-    the same chunk plan in-process, since each chunk is one evolution
-    and sharding would only repeat it.
+    comparable.  Best for trajectory workloads (mid-circuit
+    measurement or noise); a terminal-measurement run evolves once
+    however it is sharded (placement rule:
+    :func:`repro.exec.parallel.parallel_run_with_info`).
     """
     if parallel_workers is not None:
         from repro.exec.parallel import parallel_run_with_info

@@ -379,9 +379,9 @@ def test_genuine_pool_dispatch_errors_propagate(monkeypatch):
 
 
 def test_fast_path_runs_stay_in_process(monkeypatch):
-    # A noiseless terminal-measurement run is one evolution per chunk:
-    # it runs the same plan in-process, never asking for a pool, and
-    # still goes through the retry layer's fault sites.
+    # A noiseless terminal-measurement run evolves once and samples its
+    # chunk plan in-process, never asking for a pool; each chunk still
+    # goes through the retry layer's fault sites.
     def no_pool(workers):
         raise AssertionError("a fast-path run asked for the pool")
 
@@ -398,6 +398,7 @@ def test_fast_path_runs_stay_in_process(monkeypatch):
         serial_info.workers, serial_info.chunks,
     )
     assert pooled_info.chunks >= 2
+    assert pooled_info.evolutions == 1
     plan_seed = _crash_seed(circuit, 96, 5, 2)
     with inject_faults(worker_crash=0.5, seed=plan_seed):
         chaos, info = parallel_run_with_info(

@@ -28,11 +28,16 @@ from repro.exec import (
 from repro.algorithms import alternating_secret, bernstein_vazirani
 from repro.noise import NoiseModel, depolarizing
 from repro.pipeline import CompileOptions, simulate_kernel_with_info
+from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement
 from repro.qcircuit.examples import (
     conditioned_fanout_circuit,
     teleport_circuit,
 )
-from repro.sim.backend import RunInfo, run_circuit_with_info
+from repro.sim.backend import (
+    RunInfo,
+    VectorizedStatevectorBackend,
+    run_circuit_with_info,
+)
 from repro.sim.batched import batch_chunk_size
 from repro.sim.statevector import run_circuit
 from tests.stats import assert_histograms_close, histogram
@@ -192,6 +197,43 @@ def test_serial_fallback_is_bit_identical_to_pooled_run():
     assert pooled_info == serial_info
     assert pooled_info.workers == 2
     assert pooled_info.chunks == 2
+
+
+def test_fast_path_run_evolves_once_and_samples_each_chunk(monkeypatch):
+    # A noiseless terminal run evolves once in the dispatcher; each
+    # chunk draws from that distribution with its derived seed -- the
+    # bits the backend draws when it runs that chunk on its own.
+    circuit = Circuit(num_qubits=4, num_bits=3)
+    for qubit in range(4):
+        circuit.add(CircuitGate("h", (qubit,)))
+    circuit.add(CircuitGate("x", (3,), controls=(0,)))
+    for bit, qubit in enumerate((3, 1, 2)):  # qubit 0 left unmeasured
+        circuit.add(Measurement(qubit, bit))
+    plan = chunk_plan(600, circuit.num_qubits, 2, max_batch_bytes=1 << 12)
+    assert len(plan) > 2
+    evolve = VectorizedStatevectorBackend.evolve_terminal
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return evolve(self, *args)
+
+    monkeypatch.setattr(
+        VectorizedStatevectorBackend, "evolve_terminal", counted
+    )
+    results, info = parallel_run_with_info(
+        circuit, 600, seed=3, workers=2, max_batch_bytes=1 << 12
+    )
+    assert len(calls) == 1
+    assert (info.shots, info.evolutions, info.chunks, info.workers) == (
+        600, 1, len(plan), 2,
+    )
+    assert info.fast_path
+    backend = VectorizedStatevectorBackend()
+    expected = []
+    for shots, seed in zip(plan, derive_chunk_seeds(3, len(plan))):
+        expected += backend.run_with_info(circuit, shots, seed)[0]
+    assert results == expected
 
 
 def test_worker_counts_give_statistically_equivalent_histograms():

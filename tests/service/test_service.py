@@ -270,11 +270,16 @@ def test_deadline_expired_while_queued_skips_execution():
     async def scenario():
         # One executor busy with a long run; a short-deadline request
         # behind it must expire in the queue without spending compute.
+        # The blocker is noisy: a noiseless run evolves once and is
+        # over in milliseconds, before the next request is queued.
         config = make_config(executors=1)
         async with ExecutionService(config) as service:
             client = ServiceClient(service)
             blocker = asyncio.create_task(
-                client.run(id=1, kernel="grover", n=7, shots=2048)
+                client.run(
+                    id=1, kernel="grover", n=6, shots=256,
+                    noise={"depolarizing": 0.01},
+                )
             )
             await asyncio.sleep(0.05)  # let the blocker start
             rushed = await client.run(
