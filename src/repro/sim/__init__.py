@@ -39,7 +39,6 @@ from repro.sim.backend import (
     get_backend,
     register_backend,
     run_circuit_with_info,
-    sample_measurement_probabilities,
     terminal_measurement_plan,
 )
 from repro.sim.density import (
@@ -83,7 +82,6 @@ __all__ = [
     "use_kernel",
     "run_circuit",
     "run_circuit_with_info",
-    "sample_measurement_probabilities",
     "terminal_measurement_plan",
     "unitary_of_gates",
 ]

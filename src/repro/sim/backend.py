@@ -491,6 +491,11 @@ class MeasurementSampler:
     gives the same bits whether the sampler was prepared for this draw
     or shared by many, which is what lets a sharded fast-path run
     evolve once and sample each chunk with its own seed.
+
+    Shared by the vectorized statevector backend (|psi|^2) and the
+    exact density-matrix backend (the diagonal of rho) — one sampling
+    path, one seed convention, so the two backends' zero-noise
+    histograms match exactly.
     """
 
     probabilities: Optional[np.ndarray]
@@ -550,27 +555,6 @@ class MeasurementSampler:
             bits[:, meas.bit] = (outcomes >> shift) & 1
         selected = bits[:, list(self.output)]
         return list(map(tuple, selected.tolist()))
-
-
-def sample_measurement_probabilities(
-    probabilities: np.ndarray,
-    circuit: Circuit,
-    plan: Sequence[Measurement],
-    shots: int,
-    rng: np.random.Generator,
-) -> list[tuple[int, ...]]:
-    """Draw ``shots`` samples of the plan's measurements from a
-    computational-basis probability tensor (one axis per qubit).
-
-    Shared by the vectorized statevector backend (through
-    :class:`MeasurementSampler`, which passes |psi|^2) and the exact
-    density-matrix backend (which passes the diagonal of rho) — one
-    sampling path, one seed convention, so the two backends' zero-noise
-    histograms match exactly.
-    """
-    return MeasurementSampler.prepare(probabilities, circuit, plan).draw(
-        shots, rng
-    )
 
 
 # ----------------------------------------------------------------------

@@ -41,10 +41,10 @@ from repro.errors import SimulationError
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
 from repro.qcircuit.fusion import FusedUnitary, controlled_matrix
 from repro.sim.backend import (
+    MeasurementSampler,
     RunInfo,
     SimBackend,
     register_backend,
-    sample_measurement_probabilities,
     terminal_measurement_plan,
 )
 from repro.sim.kernels import active_kernel_name
@@ -204,9 +204,9 @@ class DensityMatrixBackend(SimBackend):
             probabilities = self._terminal_probabilities(
                 circuit, noise_model, stats
             )
-            results = sample_measurement_probabilities(
-                probabilities, circuit, plan, shots, rng
-            )
+            results = MeasurementSampler.prepare(
+                probabilities, circuit, plan
+            ).draw(shots, rng)
         else:
             distribution = self._branched_distribution(
                 circuit, noise_model, stats
